@@ -13,7 +13,7 @@ BENCH_COUNT ?= 3
 HOT_BENCHES  = BenchmarkDRAMAccess|BenchmarkStreamPump|BenchmarkCalibrate|BenchmarkCalibrateWarm|BenchmarkCalibrateAdjacentCold|BenchmarkFig13Sweep
 
 # Host-runtime dispatch benchmarks, pinned against the pre-rewrite
-# mutex-and-broadcast runtime so the lock-free gate/deque win stays
+# mutex-and-broadcast runtime so the lock-free gate/ring win stays
 # measured. The 8/32 variants guard the unsharded (Domains=1) dispatch
 # path; 64 runs 2 memory domains and 128/256 run 4, pinning the
 # sharded-gate scaling past the old single-gate plateau; the
@@ -57,6 +57,17 @@ CONTEND_BENCHES = BenchmarkContendedCounterGlobal|BenchmarkContendedCounterShare
 # and the timing-wheel engine step stay allocation-free too.
 ZERO_ALLOC   = BenchmarkEngineStep,BenchmarkEngineStepWheel,BenchmarkDRAMAccess,BenchmarkStreamPump,BenchmarkGateAdmitBatched,BenchmarkGateAdmitPerJob,BenchmarkPolicyObserve
 
+# BENCH_RUN is one `go test -bench` invocation (the pattern and the
+# package follow); BENCH_ALL runs every pinned family through it.
+# bench, bench-baseline and bench-check pipe BENCH_ALL into benchdiff.
+BENCH_RUN = $(GO) test -run '^$$' -benchmem -count $(BENCH_COUNT) -bench
+BENCH_ALL = { $(BENCH_RUN) '^($(SIM_BENCHES))$$' ./internal/sim; \
+	$(BENCH_RUN) '^($(SIM_PAR_BENCHES))$$' ./internal/mem; \
+	$(BENCH_RUN) '^($(CORE_BENCHES))$$' ./internal/core; \
+	$(BENCH_RUN) '^($(CONTEND_BENCHES))$$' ./internal/stats; \
+	$(BENCH_RUN) '^($(HOT_BENCHES))$$' .; \
+	$(BENCH_RUN) '^($(HOST_BENCHES))$$' ./host; }
+
 .PHONY: check lint fmt vet layout build test race bench bench-host bench-baseline bench-check
 
 check: lint build test race
@@ -86,12 +97,12 @@ test:
 	$(GO) test ./...
 
 # The race pass re-runs the concurrency-heavy packages — the host
-# runtime (worker pool, stealing deques, gate, watchdog, cancellation,
-# chaos suite, and the host stress suite: TestStress* oversubscribes
-# the gate with hundreds of workers and hunts lost wakeups across
-# back-to-back 1-pair phases, and TestStressServe* races concurrent
-# Submit against Drain and live MTL moves through the serving rings at
-# 128-160 workers) and the parallel run engine — under the race
+# runtime (the dispatch core's worker pool, admission rings and pump,
+# gate, parking lot, watchdog, cancellation, chaos suite, and the host
+# stress suite: TestStress* oversubscribes the gate with hundreds of
+# workers and hunts lost wakeups across back-to-back 1-pair Run
+# sessions, and TestStressServe* races concurrent Submit against Drain
+# and live MTL moves through the same rings at 128-160 workers) and the parallel run engine — under the race
 # detector, plus the persistent result cache's concurrent-writer
 # suite (shared by mtlbench -j fan-outs). The rest of the tree is
 # single-goroutine simulation already covered by `test`.
@@ -112,27 +123,17 @@ race:
 # against the committed baseline. bench-baseline rewrites the baseline
 # from a fresh run (do this only when intentionally re-pinning).
 bench:
-	@{ $(GO) test -run '^$$' -bench '^($(SIM_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/sim; \
-	   $(GO) test -run '^$$' -bench '^($(SIM_PAR_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/mem; \
-	   $(GO) test -run '^$$' -bench '^($(CORE_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/core; \
-	   $(GO) test -run '^$$' -bench '^($(CONTEND_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/stats; \
-	   $(GO) test -run '^$$' -bench '^($(HOT_BENCHES))$$' -benchmem -count $(BENCH_COUNT) .; \
-	   $(GO) test -run '^$$' -bench '^($(HOST_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./host; } \
+	@$(BENCH_ALL) \
 	| $(GO) run ./cmd/benchdiff -baseline BENCH_SIM.json
 
 # bench-host runs only the host-runtime dispatch benchmarks against the
 # committed baseline — the quick loop when iterating on the scheduler.
 bench-host:
-	@$(GO) test -run '^$$' -bench '^($(HOST_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./host \
+	@$(BENCH_RUN) '^($(HOST_BENCHES))$$' ./host \
 	| $(GO) run ./cmd/benchdiff -baseline BENCH_SIM.json
 
 bench-baseline:
-	@{ $(GO) test -run '^$$' -bench '^($(SIM_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/sim; \
-	   $(GO) test -run '^$$' -bench '^($(SIM_PAR_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/mem; \
-	   $(GO) test -run '^$$' -bench '^($(CORE_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/core; \
-	   $(GO) test -run '^$$' -bench '^($(CONTEND_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/stats; \
-	   $(GO) test -run '^$$' -bench '^($(HOT_BENCHES))$$' -benchmem -count $(BENCH_COUNT) .; \
-	   $(GO) test -run '^$$' -bench '^($(HOST_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./host; } \
+	@$(BENCH_ALL) \
 	| $(GO) run ./cmd/benchdiff -baseline BENCH_SIM.json -write -note "$(NOTE)"
 
 # bench-check is the regression gate: same benchmarks as `bench`, but
@@ -140,12 +141,7 @@ bench-baseline:
 # committed baseline or on any allocation in the pinned zero-alloc
 # benchmarks.
 bench-check:
-	@{ $(GO) test -run '^$$' -bench '^($(SIM_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/sim; \
-	   $(GO) test -run '^$$' -bench '^($(SIM_PAR_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/mem; \
-	   $(GO) test -run '^$$' -bench '^($(CORE_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/core; \
-	   $(GO) test -run '^$$' -bench '^($(CONTEND_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/stats; \
-	   $(GO) test -run '^$$' -bench '^($(HOT_BENCHES))$$' -benchmem -count $(BENCH_COUNT) .; \
-	   $(GO) test -run '^$$' -bench '^($(HOST_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./host; } \
+	@$(BENCH_ALL) \
 	| $(GO) run ./cmd/benchdiff -baseline BENCH_SIM.json -check -max-regress 0.15 -zero-alloc '$(ZERO_ALLOC)'
 
 # bench-all is the original full benchmark sweep (every paper artifact).

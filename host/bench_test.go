@@ -12,10 +12,16 @@ import "testing"
 // serialization in the dispatch path shows up directly as lost
 // throughput. The per-domain MTL stays fixed at 2, so raising the
 // domain count both widens admission (2 x domains memory tasks in
-// flight) and shards the gate/overflow hot words — the two effects the
+// flight) and shards the gate and queue hot words — the two effects the
 // 32→64-worker plateau motivated.
 func benchThroughput(b *testing.B, workers, domains int) {
-	a, err := NewArraySet(128, 2*1024)
+	benchPhases(b, workers, domains, 2*1024, 1)
+}
+
+// benchPhases runs phases of 128 pairs over arrays of the given size
+// whose compute tasks each make passes sweeps over their array.
+func benchPhases(b *testing.B, workers, domains, bytes, passes int) {
+	a, err := NewArraySet(128, bytes)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -26,7 +32,7 @@ func benchThroughput(b *testing.B, workers, domains int) {
 	defer rt.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairs, err := a.Pairs(1)
+		pairs, err := a.Pairs(passes)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -51,3 +57,10 @@ func BenchmarkHostRuntimeThroughput512(b *testing.B) { benchThroughput(b, 512, 4
 func BenchmarkHostRuntimeDomains64x1(b *testing.B) { benchThroughput(b, 64, 1) }
 func BenchmarkHostRuntimeDomains64x2(b *testing.B) { benchThroughput(b, 64, 2) }
 func BenchmarkHostRuntimeDomains64x4(b *testing.B) { benchThroughput(b, 64, 4) }
+
+// The Compute64 point gives each pair a 16 KiB array and makes its
+// compute task sweep it 16 times, so Tc is many times Tm and well past
+// a worker wakeup: throughput then rests on compute tasks of different
+// pairs overlapping each other and the gated memory tasks, which the
+// tiny-pair points above barely exercise.
+func BenchmarkHostRuntimeCompute64(b *testing.B) { benchPhases(b, 64, 2, 16*1024, 16) }

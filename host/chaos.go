@@ -230,19 +230,27 @@ func (f *FaultInjector) wrapTask(pair int, name string, fn func() error) func() 
 // error.
 func (f *FaultInjector) Wrap(pairs []Pair) []Pair {
 	out := make([]Pair, len(pairs))
-	for i := range pairs {
-		mem, comp, scat, err := pairs[i].taskFns(i)
-		if err != nil {
-			out[i] = pairs[i]
+	for i, p := range pairs {
+		out[i] = p
+		if p.check() != nil {
 			continue
 		}
 		out[i] = Pair{
-			MemoryErr:  f.wrapTask(i, "memory", mem),
-			ComputeErr: f.wrapTask(i, "compute", comp),
+			MemoryErr:  f.wrapTask(i, "memory", errForm(p.Memory, p.MemoryErr)),
+			ComputeErr: f.wrapTask(i, "compute", errForm(p.Compute, p.ComputeErr)),
+			Class:      p.Class,
 		}
-		if scat != nil {
-			out[i].ScatterErr = f.wrapTask(i, "scatter", scat)
+		if p.Scatter != nil || p.ScatterErr != nil {
+			out[i].ScatterErr = f.wrapTask(i, "scatter", errForm(p.Scatter, p.ScatterErr))
 		}
 	}
 	return out
+}
+
+// errForm returns a task slot in its error-returning form.
+func errForm(plain func(), withErr func() error) func() error {
+	if withErr != nil {
+		return withErr
+	}
+	return func() error { plain(); return nil }
 }

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -106,7 +107,7 @@ func TestDomainStatsAccounting(t *testing.T) {
 // TestStressDomainGateInvariant is the sharded analogue of
 // TestStressStaticMTLInvariant: with 128 workers, 4 domains and a
 // per-domain MTL of 2, no domain's observed memory concurrency may
-// ever exceed 2 — remote steal-half moves jobs between workers but an
+// ever exceed 2 — workers take jobs from remote domains' rings but an
 // admission must still charge the job's home domain. Run with -race.
 func TestStressDomainGateInvariant(t *testing.T) {
 	const (
@@ -148,7 +149,7 @@ func TestStressDomainGateInvariant(t *testing.T) {
 
 // TestStressCrossDomainStealNoLossNoDup homes every pair in domain 0
 // while the worker pool spans 4 domains, forcing the off-home workers
-// to live entirely off remote steal-half visits. Every task must run
+// to live entirely off remote takes. Every task must run
 // exactly once: a lost job hangs the phase (test timeout), a
 // duplicated one trips the per-pair execution counters.
 func TestStressCrossDomainStealNoLossNoDup(t *testing.T) {
@@ -270,44 +271,39 @@ func TestStressDynamicWithDomains(t *testing.T) {
 	}
 }
 
-// TestJobListCrossClassIndependence checks the sharded overflow's
-// claim that the two classes never share a lock: a goroutine holding
-// the memory list's mutex (via a slow synthetic drain) must not delay
-// compute puts/takes. We approximate this structurally: concurrent
-// mem and comp traffic over one overflow shard stays linearizable
-// (every job taken exactly once, counts drain to zero).
-func TestJobListCrossClassIndependence(t *testing.T) {
-	var o overflow
-	const n = 2000
-	jobs := make([]job, 2*n)
-	for i := range jobs {
-		jobs[i].id = int32(i)
+// TestRunAdmitsInSubmissionOrder pins Run's admission
+// order: with one domain, a static MTL of 1 and no scatter, memory
+// tasks start strictly in pair order however many workers compete.
+func TestRunAdmitsInSubmissionOrder(t *testing.T) {
+	rt, err := New(Config{Workers: 16, Policy: Static, MTL: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan map[int32]int, 2)
-	drain := func(l *jobList) {
-		seen := map[int32]int{}
-		for len(seen) < n {
-			if j := l.take(); j != nil {
-				seen[j.id]++
-			}
-		}
-		done <- seen
-	}
-	go drain(&o.mem)
-	go drain(&o.comp)
-	for i := 0; i < n; i++ {
-		o.mem.put(&jobs[2*i])
-		o.comp.put(&jobs[2*i+1])
-	}
-	for k := 0; k < 2; k++ {
-		seen := <-done
-		for id, c := range seen {
-			if c != 1 {
-				t.Fatalf("job %d taken %d times", id, c)
-			}
+	defer rt.Close()
+	const pairs = 300
+	var mu sync.Mutex
+	order := make([]int, 0, pairs)
+	ps := make([]Pair, pairs)
+	for i := range ps {
+		ps[i] = Pair{
+			Memory: func() {
+				mu.Lock()
+				order = append(order, i)
+				mu.Unlock()
+				busy(200)
+			},
+			Compute: func() { busy(400) },
 		}
 	}
-	if o.mem.n.Load() != 0 || o.comp.n.Load() != 0 {
-		t.Fatalf("residual counts mem=%d comp=%d", o.mem.n.Load(), o.comp.n.Load())
+	if _, err := rt.Run(ps); err != nil {
+		t.Fatal(err)
+	}
+	for k, i := range order {
+		if i != k {
+			t.Fatalf("memory task %d started in position %d: order %v", i, k, order[:k+1])
+		}
+	}
+	if len(order) != pairs {
+		t.Fatalf("%d of %d memory tasks ran", len(order), pairs)
 	}
 }

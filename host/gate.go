@@ -1,6 +1,7 @@
 package host
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -11,11 +12,10 @@ import (
 // MTL() (stored under Runtime.ctrlMu whenever the controller moves it),
 // so workers never touch the controller to ask permission.
 //
-// The gate spans Run calls on purpose: a worker wedged in user code
-// from an aborted phase still holds its slot until the task returns,
-// so the paper's hard invariant — never more than MTL memory tasks in
-// flight — holds across overlapping phase teardown exactly as the old
-// mutex-and-counter implementation did.
+// The gate spans sessions on purpose: a worker wedged in user code
+// from an aborted Run still holds its slot until the task returns, so
+// the paper's hard invariant — never more than MTL memory tasks in
+// flight — holds across overlapping session teardown.
 //
 // Layout: limit is read-mostly — every admission loads it, pollers
 // (Runtime.MTL, watchdogs, samplers) load it, and only the controller
@@ -34,32 +34,15 @@ type gate struct {
 	_      [48]byte
 }
 
-// tryAcquire claims one memory-task slot if the gate is open. The
-// admission check and the increment are a single CAS, so two racing
-// workers can never both slip through the last slot.
-func (g *gate) tryAcquire() bool {
-	for {
-		a := g.active.Load()
-		if a >= g.limit.Load() {
-			return false
-		}
-		if g.active.CompareAndSwap(a, a+1) {
-			n := a + 1
-			for {
-				p := g.peak.Load()
-				if n <= p || g.peak.CompareAndSwap(p, n) {
-					return true
-				}
-			}
-		}
-	}
-}
+// tryAcquire claims one memory-task slot if the gate is open.
+func (g *gate) tryAcquire() bool { return g.tryAcquireN(1) == 1 }
 
 // tryAcquireN claims up to max slots in one CAS and reports how many it
-// got (0 when the gate is full or max <= 0). Batched admission on the
-// serving path uses this to admit a whole run of queued jobs per gate
-// transition: one CAS where per-job admission would retry max times
-// under contention.
+// got (0 when the gate is full or max <= 0). The admission check and
+// the increment are a single CAS, so two racing pumps can never both
+// slip through the last slot. The pump admits a whole run of queued
+// jobs per gate transition this way: one CAS where per-job admission
+// would retry max times under contention.
 func (g *gate) tryAcquireN(max int64) int64 {
 	if max <= 0 {
 		return 0
@@ -97,16 +80,11 @@ func (g *gate) releaseN(n int64) {
 	}
 }
 
-// release returns a slot. The caller follows up with a targeted wakeup
-// (lot.unparkOne) so exactly one gate-blocked worker re-scans.
-func (g *gate) release() {
-	if g.active.Add(-1) < 0 {
-		panic("host: gate released below zero")
-	}
-}
+// release returns one slot.
+func (g *gate) release() { g.releaseN(1) }
 
-// resetPeak restarts the per-Run high-water mark at the current
-// occupancy (slots may still be held by a previous phase's wedged
+// resetPeak restarts the per-session high-water mark at the current
+// occupancy (slots may still be held by an aborted Run's wedged
 // tasks).
 func (g *gate) resetPeak() {
 	g.peak.Store(g.active.Load())
@@ -121,23 +99,27 @@ type parker struct {
 	queued bool // guarded by lot.mu
 }
 
-// lot is the parked-waiter list: workers that found no runnable job
-// (empty deques, or only gate-blocked memory work) enqueue themselves
-// and block on their token. Every event that creates a dispatch
-// opportunity — a successor job pushed, a gate slot released, an MTL
-// raise, phase end — wakes exactly the workers it can satisfy instead
-// of broadcasting to all of them. The lock guards only the waiter
-// list; workers with work in hand never touch it.
+// lot is the parked-waiter list: workers that found no admitted job
+// enqueue themselves and block on their token. Every admission wakes
+// exactly as many workers as it admitted jobs; only the events that
+// can satisfy many at once (MTL widened by degradation, session end)
+// wake them all. The lock guards only the waiter list; workers with
+// work in hand never touch it.
 type lot struct {
 	mu     sync.Mutex
 	parked []*parker
+	// waiting mirrors len(parked) (stored under mu) so an admission that
+	// finds nobody parked skips the lock: a parker enqueues before its
+	// re-scan and a pump pushes before it loads waiting, so one of the
+	// two always sees the other.
+	waiting atomic.Int64
 
 	// spinners counts workers currently in the adaptive pre-park spin
 	// (spin.go). It caps concurrent spinning so burst arrivals get
 	// low-latency handoff without idle workers burning every core, and
 	// is padded off the mutex's line so spin entry/exit never bounces
 	// the lock word the unpark paths take.
-	_        [32]byte
+	_        [24]byte
 	spinners atomic.Int64
 	_        [56]byte
 }
@@ -174,6 +156,7 @@ func (l *lot) enqueue(p *parker) {
 	l.mu.Lock()
 	p.queued = true
 	l.parked = append(l.parked, p)
+	l.waiting.Store(int64(len(l.parked)))
 	l.mu.Unlock()
 }
 
@@ -187,6 +170,7 @@ func (l *lot) cancel(p *parker) {
 		for i := len(l.parked) - 1; i >= 0; i-- { // LIFO: self is near the end
 			if l.parked[i] == p {
 				l.parked = append(l.parked[:i], l.parked[i+1:]...)
+				l.waiting.Store(int64(len(l.parked)))
 				break
 			}
 		}
@@ -197,62 +181,26 @@ func (l *lot) cancel(p *parker) {
 	<-p.token
 }
 
-// unparkOne wakes the most recently parked worker (cache-warm, and the
-// oldest sleepers stay asleep under light load). Reports whether a
-// sleeper was woken; on false the caller may spawn a fresh worker
-// instead (the phase lazily grows its pool up to Config.Workers).
-func (l *lot) unparkOne() bool {
-	l.mu.Lock()
-	n := len(l.parked)
-	if n == 0 {
-		l.mu.Unlock()
-		return false
-	}
-	p := l.parked[n-1]
-	l.parked = l.parked[:n-1]
-	p.queued = false
-	l.mu.Unlock()
-	p.token <- struct{}{}
-	return true
-}
-
-// unparkN wakes up to n of the most recently parked workers under a
-// single lock acquisition and reports how many it woke. Batched
-// admission pairs this with gate.tryAcquireN: admitting a run of k jobs
-// costs one lock and k token sends instead of k lock round-trips.
+// unparkN wakes up to n of the most recently parked workers (cache
+// warm, and the oldest sleepers stay asleep under light load) under a
+// single lock acquisition and reports how many it woke; the caller
+// spawns fresh workers for the rest. Sending under the lock never
+// blocks (see parker) and keeps the wake allocation-free.
 func (l *lot) unparkN(n int) int {
-	if n <= 0 {
+	if n <= 0 || l.waiting.Load() == 0 {
 		return 0
 	}
 	l.mu.Lock()
-	if n > len(l.parked) {
-		n = len(l.parked)
-	}
-	woken := make([]*parker, n)
-	copy(woken, l.parked[len(l.parked)-n:])
-	l.parked = l.parked[:len(l.parked)-n]
-	for _, p := range woken {
+	n = min(n, len(l.parked))
+	for _, p := range l.parked[len(l.parked)-n:] {
 		p.queued = false
-	}
-	l.mu.Unlock()
-	for _, p := range woken {
 		p.token <- struct{}{}
 	}
+	l.parked = l.parked[:len(l.parked)-n]
+	l.waiting.Store(int64(len(l.parked)))
+	l.mu.Unlock()
 	return n
 }
 
-// unparkAll wakes every parked worker — reserved for the rare events
-// that can satisfy many at once (MTL raise, degradation to the
-// conventional schedule) or that end the phase (completion, abort).
-func (l *lot) unparkAll() {
-	l.mu.Lock()
-	woken := l.parked
-	l.parked = nil
-	for _, p := range woken {
-		p.queued = false
-	}
-	l.mu.Unlock()
-	for _, p := range woken {
-		p.token <- struct{}{}
-	}
-}
+// unparkAll wakes every parked worker.
+func (l *lot) unparkAll() { l.unparkN(math.MaxInt) }

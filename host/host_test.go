@@ -1,6 +1,7 @@
 package host
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -404,4 +405,92 @@ func TestMTLQueryIsSafeDuringRun(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestRunOverlapsComputeWithMemory pins the paper's mechanism: with a
+// static MTL of 1, memory tasks are serialized, but a pair's compute
+// task runs on its own worker while the next pairs' memory tasks go
+// through the gate, so compute tasks of different pairs overlap and a
+// phase takes far less than pairs x (Tm + Tc), measured. The tasks
+// sleep, so the overlap does not depend on the number of CPUs.
+func TestRunOverlapsComputeWithMemory(t *testing.T) {
+	const (
+		pairs = 40
+		tm    = 200 * time.Microsecond
+		tc    = 5 * time.Millisecond
+	)
+	rt, err := New(Config{Workers: 8, Policy: Static, MTL: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	var live, peak int64
+	ps := make([]Pair, pairs)
+	for i := range ps {
+		ps[i] = Pair{
+			Memory: func() { time.Sleep(tm) },
+			Compute: func() {
+				cur := atomic.AddInt64(&live, 1)
+				for {
+					old := atomic.LoadInt64(&peak)
+					if cur <= old || atomic.CompareAndSwapInt64(&peak, old, cur) {
+						break
+					}
+				}
+				time.Sleep(tc)
+				atomic.AddInt64(&live, -1)
+			},
+		}
+	}
+	t0 := time.Now()
+	st, err := rt.Run(ps)
+	elapsed := time.Since(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CompletedPairs != pairs {
+		t.Fatalf("completed %d of %d pairs", st.CompletedPairs, pairs)
+	}
+	if p := atomic.LoadInt64(&peak); p < 2 {
+		t.Fatalf("compute tasks never overlapped (peak %d concurrent)", p)
+	}
+	if serial := pairs * (st.MeanTm + st.MeanTc); elapsed > serial/2 {
+		t.Fatalf("phase took %v, want well under the serial %v", elapsed, serial)
+	}
+}
+
+// TestRunQueuedBehindWedgedRunHonoursContext: Run calls on one runtime
+// run one at a time, but a call queued behind a wedged Run still
+// returns when its context expires, and the runtime works once the
+// wedged task returns.
+func TestRunQueuedBehindWedgedRunHonoursContext(t *testing.T) {
+	rt, err := New(Config{Workers: 2, Policy: Static, MTL: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	started, unwedge := make(chan struct{}), make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		_, err := rt.Run([]Pair{{Memory: func() { close(started); <-unwedge }, Compute: func() {}}})
+		first <- err
+	}()
+	<-started
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	t0 := time.Now()
+	st, err := rt.RunContext(ctx, []Pair{{Memory: func() {}, Compute: func() {}}})
+	if !errors.Is(err, context.DeadlineExceeded) || !st.Cancelled {
+		t.Fatalf("queued RunContext = (cancelled %v, %v), want a cancelled deadline error", st.Cancelled, err)
+	}
+	if waited := time.Since(t0); waited > time.Second {
+		t.Fatalf("queued RunContext returned after %v", waited)
+	}
+	close(unwedge)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run([]Pair{{Memory: func() {}, Compute: func() {}}}); err != nil {
+		t.Fatalf("runtime unusable after the queued call gave up: %v", err)
+	}
 }

@@ -46,19 +46,6 @@ func TestLayoutGate(t *testing.T) {
 	}
 }
 
-func TestLayoutDeque(t *testing.T) {
-	var d deque
-	top := unsafe.Offsetof(d.top)
-	bottom := unsafe.Offsetof(d.bottom)
-	mask := unsafe.Offsetof(d.mask)
-	if !distinctLines(top, bottom) {
-		t.Errorf("deque.top (offset %d) and deque.bottom (offset %d) may share a cache line", top, bottom)
-	}
-	if !distinctLines(bottom, mask) {
-		t.Errorf("deque.bottom (offset %d) and deque.mask (offset %d) may share a cache line (owner stores would invalidate thief mask/ring reads)", bottom, mask)
-	}
-}
-
 func TestLayoutLot(t *testing.T) {
 	var l lot
 	mu := unsafe.Offsetof(l.mu)
@@ -101,25 +88,42 @@ func TestLayoutSigShard(t *testing.T) {
 
 func TestLayoutWorker(t *testing.T) {
 	var w worker
-	// The thief-scanned pointers (mem, comp) must be at least a full
-	// line before the owner-hot state (park onward), so a worker
-	// bumping its own counters never invalidates the lines other
-	// workers' steal scans read.
-	thief := unsafe.Offsetof(w.comp)
-	owner := unsafe.Offsetof(w.park)
-	if owner < thief+unsafe.Sizeof(w.comp)+lineSize {
-		t.Errorf("worker owner-hot state at offset %d, want >= %d (a full line past the thief-scanned pointers)", owner, thief+unsafe.Sizeof(w.comp)+lineSize)
+	if got := unsafe.Sizeof(w); got%lineSize != 0 {
+		t.Errorf("sizeof(worker) = %d, want a multiple of %d (workers live in one per-arena array)", got, lineSize)
+	}
+	// The parker is written by the goroutines that wake the worker; the
+	// counters from sumTm on only by the worker itself. A full line
+	// between them keeps every unpark off the owner's counter line.
+	park := unsafe.Offsetof(w.park)
+	owner := unsafe.Offsetof(w.sumTm)
+	if owner < park+unsafe.Sizeof(w.park)+lineSize {
+		t.Errorf("worker owner-hot counters at offset %d, want >= %d (a full line past the parker)", owner, park+unsafe.Sizeof(w.park)+lineSize)
 	}
 }
 
 func TestLayoutDomainState(t *testing.T) {
 	var ds domainState
 	if got := unsafe.Sizeof(ds); got%lineSize != 0 {
-		t.Errorf("sizeof(domainState) = %d, want a multiple of %d (states live in a per-phase array; a fractional stride would share readyMem lines across domains)", got, lineSize)
+		t.Errorf("sizeof(domainState) = %d, want a multiple of %d (states live in a per-arena array; a fractional stride would share list lines across domains)", got, lineSize)
 	}
-	ready := unsafe.Offsetof(ds.readyMem)
-	over := unsafe.Offsetof(ds.over)
-	if !distinctLines(ready, over) {
-		t.Errorf("domainState.readyMem (offset %d) and domainState.over (offset %d) may share a cache line", ready, over)
+	rings := unsafe.Offsetof(ds.admitted)
+	backlog := unsafe.Offsetof(ds.backlog)
+	scat := unsafe.Offsetof(ds.scat)
+	if !distinctLines(rings, backlog) {
+		t.Errorf("domainState.admitted (offset %d) and domainState.backlog (offset %d) may share a cache line", rings, backlog)
+	}
+	if !distinctLines(backlog, scat) {
+		t.Errorf("domainState.backlog (offset %d) and domainState.scat (offset %d) may share a cache line", backlog, scat)
+	}
+}
+
+func TestLayoutServer(t *testing.T) {
+	var s Server
+	// The session flags are loaded on every dispatch step; seq and the
+	// counters after it take an RMW per job from every core.
+	flags := unsafe.Offsetof(s.aborted)
+	counters := unsafe.Offsetof(s.seq)
+	if !distinctLines(flags, counters) {
+		t.Errorf("Server.aborted (offset %d) and Server.seq (offset %d) may share a cache line", flags, counters)
 	}
 }

@@ -3,6 +3,7 @@ package host
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -123,6 +124,61 @@ func TestClassLimitEnforcedInRun(t *testing.T) {
 	}
 	if p := atomic.LoadInt64(&peak); p > cap {
 		t.Fatalf("class-1 memory concurrency peaked at %d, cap is %d", p, cap)
+	}
+}
+
+// TestClassCapLongRun runs a long phase entirely in a class capped at
+// 1 while the gate admits 8: nearly every admission attempt finds the
+// class full. Each queued job must be looked at a bounded number of
+// times, not once per pump, or the phase goes quadratic in its length;
+// re-queueing a capped job must not allocate, so the phase allocates
+// far fewer objects than it has pairs.
+func TestClassCapLongRun(t *testing.T) {
+	const pairs = 4000
+	pol := &fixedDecision{d: core.Decision{
+		ClassLimit: []int{0, 1},
+		Monitoring: true,
+	}}
+	rt, err := New(Config{
+		Workers:   8,
+		Throttler: core.NewPolicyThrottler(pol, 1, 8),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	primeThrottler(t, rt)
+
+	var live, peak int64
+	ps := make([]Pair, pairs)
+	for i := range ps {
+		ps[i] = Pair{
+			Class: 1,
+			Memory: func() {
+				cur := atomic.AddInt64(&live, 1)
+				if cur > atomic.LoadInt64(&peak) {
+					atomic.StoreInt64(&peak, cur)
+				}
+				atomic.AddInt64(&live, -1)
+			},
+			Compute: func() {},
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := rt.Run(ps)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CompletedPairs != pairs {
+		t.Fatalf("completed %d of %d pairs", st.CompletedPairs, pairs)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs > pairs/4 {
+		t.Errorf("a %d-pair capped phase made %d allocations", pairs, allocs)
+	}
+	if p := atomic.LoadInt64(&peak); p > 1 {
+		t.Fatalf("class-1 memory concurrency peaked at %d, cap is 1", p)
 	}
 }
 

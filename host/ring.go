@@ -10,10 +10,10 @@ import "sync/atomic"
 // bounded spinning (a CAS loss retries against fresh tickets; a slot
 // mid-handoff by a stalled peer reports full/empty instead of waiting).
 //
-// The serving path uses three of these: the per-domain pending queue
-// (producers: Submit callers; consumers: the admission pump), the
+// The dispatch core uses three of these: the per-domain Serve pending
+// queue (producers: Submit callers; consumers: the admission pump), the
 // per-domain admitted queue (producer: the pump; consumers: workers)
-// and the free-block list (both ends contended). All three tolerate
+// and the Serve free-block list (both ends contended). All three tolerate
 // spurious "full"/"empty" answers, which is exactly the ring's
 // contract: a push that loses its slot to a lagging consumer may
 // report full even though a later retry would fit; callers shed or

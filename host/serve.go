@@ -4,38 +4,27 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"memthrottle/internal/core"
 	"memthrottle/internal/stats"
 )
 
-// This file turns the Runtime from a batch scheduler (Run: execute a
-// fixed slice of pairs to completion) into a long-running server:
-// Serve opens a streaming ingress, Submit enqueues one pair without
-// blocking the dispatch path, and Drain stops intake and waits for the
-// tail. The MTL admission gate doubles as the server's admission
+// This file is the streaming face of the dispatch core (engine.go):
+// Serve opens a session with an open ingress, Submit enqueues one pair
+// without blocking on dispatch work, and Drain stops intake and waits
+// for the tail. The MTL gate doubles as the server's admission
 // controller — a job leaves the pending queue only when its home
 // domain's gate grants a memory slot — so the paper's invariant (never
 // more than MTL memory tasks in flight per domain) holds for streamed
-// work exactly as it does for batches.
+// work exactly as it does for Run phases.
 //
-// The serving hot path is allocation-free after Serve: jobs live in a
+// The Submit-to-completion path is allocation-free: jobs live in a
 // preallocated block pool and move between lock-free MPMC rings
-// (ring.go). Admission is *batched*: instead of one gate CAS and one
-// wakeup per job, the pump claims a run of slots in a single
-// tryAcquireN CAS and wakes the matching number of workers under a
-// single lot lock (unparkN), amortising the gate and wakeup traffic
-// that dominates per-job admission at high worker counts.
-//
-// Per-job latencies are recorded into per-worker histogram shards
-// (internal/stats.LatencyHist, zero-alloc) and merged deterministically
-// after the workers exit, so Drain's percentiles are race-free without
-// any hot-path locking.
+// (ring.go). Per-job latencies are recorded into per-worker histogram
+// shards (internal/stats.LatencyHist, zero-alloc) and merged after the
+// workers exit, so Drain's percentiles are race-free without any
+// hot-path locking.
 
 // Shed selects what Submit does when the serving queue cannot take the
 // job (pending ring full, or the block pool exhausted).
@@ -166,148 +155,11 @@ type ServeStats struct {
 	ServiceLatency stats.LatencyHist
 }
 
-// servJob is one streamed pair's lifecycle record. Blocks are
-// preallocated by Serve and recycled through the free ring, so the
-// Submit-to-completion path never allocates. The user's task functions
-// are stored directly (not wrapped), mirroring the batch path's job
-// struct.
-type servJob struct {
-	mem, comp, scat    func()
-	memE, compE, scatE func() error
-
-	seq     int64
-	dom     int32
-	class   int32
-	scatter bool // true: the scatter task is the next admission
-
-	enqNs   int64 // Submit time, ns since Serve start
-	admitNs int64 // first gate admission, ns since Serve start
-	tmNs    int64 // measured memory-task duration
-}
-
-// servDomain is one memory domain's share of the server.
-type servDomain struct {
-	// pend is the bounded ingress: Submit pushes, the admission pump
-	// pops. admitted carries gate-admitted jobs to workers; its
-	// occupancy is bounded by the domain's gate limit, so it is sized
-	// past Config.Workers and never legitimately fills. scat holds jobs
-	// between compute and scatter, awaiting re-admission (and is the
-	// unbounded fallback if admitted ever reports full mid-handoff).
-	// held parks jobs whose traffic class is at its per-class limit;
-	// they are retried ahead of fresh ingress on every later pump.
-	pend     *mpmcRing
-	admitted *mpmcRing
-	scat     servList
-	held     servList
-}
-
-// servList is the serving analogue of jobList: an unbounded mutex FIFO
-// with an atomic count keeping the empty case off the lock. It holds
-// scatter-stage jobs awaiting re-admission, far off the gather hot
-// path.
-type servList struct {
-	n    atomic.Int64
-	mu   sync.Mutex
-	jobs []*servJob
-	head int
-}
-
-func (l *servList) put(j *servJob) {
-	l.mu.Lock()
-	l.jobs = append(l.jobs, j)
-	l.n.Add(1)
-	l.mu.Unlock()
-}
-
-func (l *servList) take() *servJob {
-	if l.n.Load() == 0 {
-		return nil
-	}
-	l.mu.Lock()
-	var j *servJob
-	if l.head < len(l.jobs) {
-		j = l.jobs[l.head]
-		l.jobs[l.head] = nil
-		l.head++
-		if l.head == len(l.jobs) {
-			l.jobs = l.jobs[:0]
-			l.head = 0
-		}
-		l.n.Add(-1)
-	}
-	l.mu.Unlock()
-	return j
-}
-
-// serveWorker is one serving worker's private state, including its
-// latency-histogram shards (merged only after the worker exits). Each
-// serveWorker is its own heap allocation, so no cross-worker padding
-// is needed here.
-type serveWorker struct {
-	slot     int
-	home     int
-	park     parker
-	rng      uint64
-	spinNs   int64 // EWMA idle gap, drives the pre-park spin budget
-	queueH   stats.LatencyHist
-	serviceH stats.LatencyHist
-}
-
-// Server is a live Serve session.
-type Server struct {
-	rt       *Runtime
-	sc       ServeConfig
-	start    time.Time
-	adaptive bool
-	spinMax  int64 // concurrent pre-park spinner cap (see spin.go)
-
-	doms []servDomain
-	free *mpmcRing
-
-	lot     lot
-	workers []atomic.Pointer[serveWorker]
-	spawned atomic.Int32
-	wg      sync.WaitGroup
-
-	seq      atomic.Int64
-	inflight atomic.Int64
-	draining atomic.Bool
-	drained  chan struct{}
-	downOnce sync.Once
-
-	submitted, completed, failed atomic.Int64
-	dropped, rejected            atomic.Int64
-	retries, recovered           atomic.Int64
-	admitBatches, admittedJobs   atomic.Int64
-	blacklisted                  atomic.Int64
-
-	// Stall-watchdog state (Config.StallTimeout > 0 only): per-worker
-	// flight records plus the bookkeeping the watchdog goroutine and
-	// Drain share.
-	watch       bool
-	flight      []flightRec
-	stallMu     sync.Mutex
-	stalls      int64
-	stalledSeqs []int64
-	degraded    bool
-	rearms      int64
-
-	// blockMu/blockCond park ShedBlock submitters; blockWaiters keeps
-	// the signal off the completion hot path when nobody waits.
-	blockMu      sync.Mutex
-	blockCond    *sync.Cond
-	blockWaiters atomic.Int64
-
-	statsOnce sync.Once
-	finalQ    stats.LatencyHist
-	finalS    stats.LatencyHist
-}
-
 // Serve opens a serving session on the runtime. The session owns the
 // runtime until Drain completes: Run calls fail while serving, and a
-// runtime serves at most one session at a time. The controller is the
-// runtime's own (it persists across sessions exactly as it persists
-// across Run calls).
+// runtime hosts one session at a time. The controller is the runtime's
+// own (it persists across sessions exactly as it persists across Run
+// calls).
 func (r *Runtime) Serve(sc ServeConfig) (*Server, error) {
 	sc = sc.withDefaults()
 	if err := sc.validate(); err != nil {
@@ -316,73 +168,26 @@ func (r *Runtime) Serve(sc ServeConfig) (*Server, error) {
 	if r.closed.Load() {
 		return nil, errors.New("host: runtime closed")
 	}
-	if !r.serving.CompareAndSwap(false, true) {
+	if !r.busy.CompareAndSwap(false, true) {
 		return nil, errors.New("host: runtime already serving")
 	}
-	nd := r.cfg.Domains
-	queueCap := ceilPow2(sc.Queue)
-	admitCap := ceilPow2(2 * (r.cfg.Workers + 1))
-	s := &Server{
-		rt:      r,
-		sc:      sc,
-		start:   time.Now(),
-		doms:    make([]servDomain, nd),
-		workers: make([]atomic.Pointer[serveWorker], r.cfg.Workers),
-		drained: make(chan struct{}),
-	}
-	s.blockCond = sync.NewCond(&s.blockMu)
-	_, fixed := r.th.(core.Fixed)
-	s.adaptive = !fixed
-	s.spinMax = spinnerCap()
-	for d := range s.doms {
-		s.doms[d].pend = newMPMCRing(queueCap)
-		s.doms[d].admitted = newMPMCRing(admitCap)
-	}
-	// The block pool covers every place a job can rest: the pending
-	// rings, the admitted rings, the scatter lists plus the workers'
-	// hands (both bounded by gate occupancy and the worker count).
-	total := nd*queueCap + nd*admitCap + 2*(r.cfg.Workers+1)
-	blocks := make([]servJob, total)
-	s.free = newMPMCRing(ceilPow2(total))
-	for i := range blocks {
-		s.free.push(&blocks[i])
-	}
-	r.memPeak.Store(r.memActive.Load())
-	for d := range r.gates {
-		r.gates[d].resetPeak()
-	}
-	s.watch = r.cfg.StallTimeout > 0
-	if s.watch {
-		s.flight = make([]flightRec, r.cfg.Workers)
-		go s.watchdog()
-	}
-	return s, nil
+	a := r.borrow()
+	a.sizeIngress(sc.Queue)
+	return r.open(a, sc, false), nil
 }
-
-// nowNs is the session clock: nanoseconds since Serve.
-func (s *Server) nowNs() int64 { return time.Since(s.start).Nanoseconds() }
 
 // Submit enqueues one pair for execution. It never blocks on dispatch
 // work — the slow paths are the configured shedding mode (ShedBlock
-// waits for space) and validation. Safe for any number of concurrent
-// callers.
+// waits for space) and validation. The pair's home domain is
+// Config.Domain of its submission sequence number (0, 1, 2, ... in
+// Submit order), or that number modulo Domains. Safe for any number of
+// concurrent callers.
 func (s *Server) Submit(p Pair) error {
 	if s.draining.Load() {
 		return ErrDraining
 	}
-	// Validate the slots inline (the batch path's rules): exactly one
-	// form per slot, memory and compute required.
-	if (p.Memory != nil) == (p.MemoryErr != nil) {
-		return fmt.Errorf("host: submit: exactly one of Memory/MemoryErr must be set")
-	}
-	if (p.Compute != nil) == (p.ComputeErr != nil) {
-		return fmt.Errorf("host: submit: exactly one of Compute/ComputeErr must be set")
-	}
-	if p.Scatter != nil && p.ScatterErr != nil {
-		return fmt.Errorf("host: submit: both Scatter and ScatterErr set")
-	}
-	if p.Class < 0 || p.Class >= core.MaxClasses {
-		return fmt.Errorf("host: submit: class = %d, want within [0, %d)", p.Class, core.MaxClasses)
+	if err := p.check(); err != nil {
+		return fmt.Errorf("host: submit: %w", err)
 	}
 	// Ingress containment: a demoted class is refused before it costs a
 	// block or a queue slot, whatever the shedding mode — exactly the
@@ -402,10 +207,14 @@ func (s *Server) Submit(p Pair) error {
 		return ErrDraining
 	}
 	seq := s.seq.Add(1) - 1
-	dom := int(seq % int64(len(s.doms)))
-	if s.enqueue(seq, dom, p) {
+	dom, err := s.rt.home(int(seq))
+	if err != nil {
+		s.undoInflight()
+		return err
+	}
+	if s.enqueue(seq, dom, &p) {
 		s.submitted.Add(1)
-		s.pump(dom)
+		s.pump(dom, false)
 		return nil
 	}
 	switch s.sc.Shed {
@@ -414,7 +223,7 @@ func (s *Server) Submit(p Pair) error {
 		s.dropped.Add(1)
 		return nil
 	case ShedBlock:
-		return s.submitBlocking(seq, dom, p)
+		return s.submitBlocking(seq, dom, &p)
 	default: // ShedReject
 		s.undoInflight()
 		s.rejected.Add(1)
@@ -424,21 +233,13 @@ func (s *Server) Submit(p Pair) error {
 
 // enqueue moves one validated pair into dom's pending ring, reporting
 // false when the queue (or the block pool) is full.
-func (s *Server) enqueue(seq int64, dom int, p Pair) bool {
+func (s *Server) enqueue(seq int64, dom int, p *Pair) bool {
 	j := s.free.pop()
 	if j == nil {
 		return false
 	}
-	j.mem, j.memE = p.Memory, p.MemoryErr
-	j.comp, j.compE = p.Compute, p.ComputeErr
-	j.scat, j.scatE = p.Scatter, p.ScatterErr
-	j.seq = seq
-	j.dom = int32(dom)
-	j.class = int32(p.Class)
-	j.scatter = false
+	j.fill(p, seq, dom)
 	j.enqNs = s.nowNs()
-	j.admitNs = 0
-	j.tmNs = 0
 	if s.doms[dom].pend.push(j) {
 		return true
 	}
@@ -451,7 +252,7 @@ func (s *Server) enqueue(seq int64, dom int, p Pair) bool {
 
 // submitBlocking is the ShedBlock slow path: wait until the job fits
 // or the server drains.
-func (s *Server) submitBlocking(seq int64, dom int, p Pair) error {
+func (s *Server) submitBlocking(seq int64, dom int, p *Pair) error {
 	s.blockWaiters.Add(1)
 	defer s.blockWaiters.Add(-1)
 	s.blockMu.Lock()
@@ -464,7 +265,7 @@ func (s *Server) submitBlocking(seq int64, dom int, p Pair) error {
 		if s.enqueue(seq, dom, p) {
 			s.blockMu.Unlock()
 			s.submitted.Add(1)
-			s.pump(dom)
+			s.pump(dom, false)
 			return nil
 		}
 		s.blockCond.Wait()
@@ -473,429 +274,6 @@ func (s *Server) submitBlocking(seq int64, dom int, p Pair) error {
 
 // undoInflight retires an inflight token without a job behind it.
 func (s *Server) undoInflight() {
-	if s.inflight.Add(-1) == 0 && s.draining.Load() {
-		s.closeDrained()
-	}
-}
-
-// claimSlots acquires up to max memory slots on domain d in one CAS
-// and maintains the cross-domain concurrency peak (the serving
-// analogue of Runtime.admit, batched).
-func (s *Server) claimSlots(d int, max int64) int64 {
-	n := s.rt.gates[d].tryAcquireN(max)
-	if n > 0 && len(s.rt.gates) > 1 {
-		a := s.rt.memActive.Add(n)
-		for {
-			p := s.rt.memPeak.Load()
-			if a <= p || s.rt.memPeak.CompareAndSwap(p, a) {
-				break
-			}
-		}
-	}
-	return n
-}
-
-// releaseSlots returns n memory slots on domain d.
-func (s *Server) releaseSlots(d int, n int64) {
-	s.rt.gates[d].releaseN(n)
-	if len(s.rt.gates) > 1 {
-		s.rt.memActive.Add(-n)
-	}
-}
-
-// pump is batched admission for domain d: claim a run of gate slots in
-// one CAS, move that many queued jobs (scatter stage first — they
-// finish jobs and free blocks) into the admitted ring, and wake the
-// matching number of workers under one lot lock. Every slot-freeing
-// event calls pump, so admission keeps pace without any dedicated
-// admission thread. Concurrent pumps are safe: slots are claimed
-// before jobs are taken, and unclaimable leftovers are handed back.
-func (s *Server) pump(d int) {
-	sd := &s.doms[d]
-	batch := int64(s.sc.AdmitBatch)
-	for {
-		pending := sd.scat.n.Load() + sd.held.n.Load() + int64(sd.pend.length())
-		if pending == 0 {
-			return
-		}
-		want := pending
-		if want > batch {
-			want = batch
-		}
-		n := s.claimSlots(d, want)
-		if n == 0 {
-			return
-		}
-		var moved int64
-		var deferred []*servJob
-		now := s.nowNs()
-		for moved < n {
-			j := sd.scat.take()
-			if j == nil {
-				j = sd.held.take()
-			}
-			if j == nil {
-				j = sd.pend.pop()
-			}
-			if j == nil {
-				break
-			}
-			if !s.rt.admitClass(int(j.class)) {
-				// The job's class is at its per-class cap (a demoted
-				// class runs fully serialized): defer it and keep
-				// admitting other traffic. The slice allocates only in
-				// class-capped sessions — the cooperative serving path
-				// stays allocation-free.
-				deferred = append(deferred, j)
-				continue
-			}
-			if j.admitNs == 0 {
-				j.admitNs = now
-			}
-			if !sd.admitted.push(j) {
-				// Sized past the gate limit, the admitted ring only
-				// reports full during a racing pop's handoff; recycle
-				// through the unbounded scatter list and retry later.
-				s.rt.releaseClass(int(j.class))
-				sd.scat.put(j)
-				break
-			}
-			// The issue signal is emitted by the worker that pops this
-			// admission (exec), not here: pump runs on arbitrary submitter
-			// goroutines with no worker slot to attribute a shard write
-			// to, and every admitted job is executed exactly once.
-			moved++
-		}
-		for _, j := range deferred {
-			sd.held.put(j)
-		}
-		if moved < n {
-			s.releaseSlots(d, n-moved)
-		}
-		if moved > 0 {
-			s.admitBatches.Add(1)
-			s.admittedJobs.Add(moved)
-			if s.blockWaiters.Load() > 0 {
-				// Space opened in pend; wake blocked submitters.
-				s.blockMu.Lock()
-				s.blockCond.Broadcast()
-				s.blockMu.Unlock()
-			}
-			woken := s.lot.unparkN(int(moved))
-			for i := woken; i < int(moved); i++ {
-				s.spawnWorker()
-			}
-		}
-		if moved < want {
-			return
-		}
-	}
-}
-
-// pumpAll pumps every domain (slot releases affect one domain; MTL
-// raises affect all).
-func (s *Server) pumpAll() {
-	for d := range s.doms {
-		s.pump(d)
-	}
-}
-
-// spawnWorker starts one more serving worker if the pool has room.
-func (s *Server) spawnWorker() {
-	nw := s.rt.cfg.Workers
-	for {
-		n := s.spawned.Load()
-		if int(n) >= nw || s.finished() {
-			return
-		}
-		if s.spawned.CompareAndSwap(n, n+1) {
-			w := &serveWorker{
-				slot: int(n),
-				home: int(n) % len(s.doms),
-				rng:  uint64(n)*0x9E3779B97F4A7C15 + 1,
-				park: parker{token: make(chan struct{}, 1)},
-			}
-			s.workers[n].Store(w)
-			s.wg.Add(1)
-			go s.work(w)
-			return
-		}
-	}
-}
-
-// finished reports whether the session is fully drained.
-func (s *Server) finished() bool {
-	return s.draining.Load() && s.inflight.Load() == 0
-}
-
-// closeDrained releases Drain and every parked worker, exactly once.
-func (s *Server) closeDrained() {
-	s.downOnce.Do(func() {
-		close(s.drained)
-		s.lot.unparkAll()
-	})
-}
-
-// work is the serving worker loop: take admitted jobs (home domain
-// first), pump when the rings run dry, park when there is truly
-// nothing, exit when the session drains.
-func (s *Server) work(w *serveWorker) {
-	defer s.wg.Done()
-	for {
-		if s.finished() {
-			return
-		}
-		j := s.take(w)
-		if j == nil {
-			if j = s.parkTillWork(w); j == nil {
-				return
-			}
-		}
-		s.exec(w, j)
-	}
-}
-
-// take scans the admitted rings home-first, pumping once on a miss
-// (the pump may admit work this very worker then takes).
-func (s *Server) take(w *serveWorker) *servJob {
-	nd := len(s.doms)
-	for i := 0; i < nd; i++ {
-		if j := s.doms[(w.home+i)%nd].admitted.pop(); j != nil {
-			return j
-		}
-	}
-	s.pumpAll()
-	for i := 0; i < nd; i++ {
-		if j := s.doms[(w.home+i)%nd].admitted.pop(); j != nil {
-			return j
-		}
-	}
-	return nil
-}
-
-// parkTillWork idles w until a wakeup token arrives, with the batch
-// path's lost-wakeup closure (re-scan after enqueueing, so any job
-// admitted after the scan finds this worker in the lot) and the batch
-// path's adaptive spin-then-park (spin.go): a bounded spin polls the
-// token and the admitted rings before the worker commits to the
-// blocking park.
-func (s *Server) parkTillWork(w *serveWorker) *servJob {
-	for {
-		s.lot.enqueue(&w.park)
-		if s.finished() {
-			s.lot.cancel(&w.park)
-			return nil
-		}
-		if j := s.take(w); j != nil {
-			s.lot.cancel(&w.park)
-			return j
-		}
-		if budget := spinBudgetNs(w.spinNs); budget > 0 && s.lot.beginSpin(s.spinMax) {
-			t0 := time.Now()
-			woken := false
-			for i := 1; !woken && time.Since(t0).Nanoseconds() < budget; i++ {
-				select {
-				case <-w.park.token:
-					woken = true
-				default:
-				}
-				if woken || s.finished() {
-					break
-				}
-				ready := false
-				for d := range s.doms {
-					if s.doms[d].admitted.length() > 0 {
-						ready = true
-						break
-					}
-				}
-				if ready {
-					break
-				}
-				if i%spinYieldEvery == 0 {
-					runtime.Gosched()
-				}
-			}
-			s.lot.endSpin()
-			gap := time.Since(t0).Nanoseconds()
-			if woken {
-				// Token consumed mid-spin — this was the wakeup.
-				w.spinNs = foldIdleGap(w.spinNs, gap)
-				if s.finished() {
-					return nil
-				}
-				if j := s.take(w); j != nil {
-					return j
-				}
-				continue
-			}
-			if s.finished() {
-				s.lot.cancel(&w.park)
-				return nil
-			}
-			if j := s.take(w); j != nil {
-				s.lot.cancel(&w.park)
-				w.spinNs = foldIdleGap(w.spinNs, gap)
-				return j
-			}
-			// Budget spent with nothing admitted: fall through to the
-			// blocking park (still enqueued, so no wakeup was lost).
-		}
-		t0 := time.Now()
-		<-w.park.token
-		w.spinNs = foldIdleGap(w.spinNs, time.Since(t0).Nanoseconds())
-		if s.finished() {
-			return nil
-		}
-		if j := s.take(w); j != nil {
-			return j
-		}
-	}
-}
-
-// exec runs one admitted job stage. Gather: record queue latency, run
-// the memory task under the held slot, release, pump, then run compute
-// on the same worker and either finish or stage the scatter. Scatter:
-// run under the held slot, release, finish.
-func (s *Server) exec(w *serveWorker, j *servJob) {
-	d := int(j.dom)
-	// One issue signal per gate admission (gather and scatter stages are
-	// each admitted once), attributed to this worker's shard.
-	s.rt.noteIssue(w.slot, int(j.class))
-	if j.scatter {
-		_, err := s.runRetry(w, j.scat, j.scatE, j, "scatter")
-		s.releaseSlots(d, 1)
-		s.rt.releaseClass(int(j.class))
-		s.pump(d)
-		s.finishJob(w, j, err != nil)
-		return
-	}
-	w.queueH.Record(time.Duration(j.admitNs - j.enqNs))
-	tm, err := s.runRetry(w, j.mem, j.memE, j, "memory")
-	s.releaseSlots(d, 1)
-	s.rt.releaseClass(int(j.class))
-	s.pump(d)
-	if err != nil {
-		s.finishJob(w, j, true)
-		return
-	}
-	j.tmNs = int64(tm)
-	tc, err := s.runRetry(w, j.comp, j.compE, j, "compute")
-	if err != nil {
-		s.finishJob(w, j, true)
-		return
-	}
-	if s.adaptive {
-		s.feedController(j, tc)
-	}
-	if j.scat != nil || j.scatE != nil {
-		j.scatter = true
-		s.doms[d].scat.put(j)
-		s.pump(d)
-		return
-	}
-	s.finishJob(w, j, false)
-}
-
-// feedController mirrors the batch path: one pair sample under ctrlMu,
-// the possibly-moved MTL mirrored into every gate, and a pump when the
-// limit rose (new headroom can admit queued jobs on every domain).
-func (s *Server) feedController(j *servJob, tc time.Duration) {
-	r := s.rt
-	r.ctrlMu.Lock()
-	r.th.OnPair(core.PairSample{
-		Tm:    core.Time(time.Duration(j.tmNs).Seconds()),
-		Tc:    core.Time(tc.Seconds()),
-		Now:   core.Time(time.Since(s.start).Seconds()),
-		Class: int(j.class),
-	})
-	old := r.gates[0].limit.Load()
-	newLimit := int64(r.th.MTL())
-	for d := range r.gates {
-		r.gates[d].limit.Store(newLimit)
-	}
-	r.ctrlMu.Unlock()
-	if newLimit > old {
-		s.pumpAll()
-	}
-}
-
-// runRetry executes one task under the runtime's retry policy with
-// panic recovery, returning the successful attempt's duration.
-func (s *Server) runRetry(w *serveWorker, fn func(), fnE func() error, j *servJob, name string) (time.Duration, error) {
-	pol := s.rt.cfg.Retry
-	var rng *rand.Rand
-	if s.watch {
-		f := &s.flight[w.slot]
-		defer f.clear()
-	}
-	for attempt := 1; ; attempt++ {
-		if s.watch {
-			s.flight[w.slot].set(int(j.seq), int(j.class))
-		}
-		t0 := time.Now()
-		err := s.runOnce(fn, fnE, j, name)
-		if err == nil {
-			if attempt > 1 {
-				s.retries.Add(int64(attempt - 1))
-				s.recovered.Add(1)
-			}
-			return time.Since(t0), nil
-		}
-		if !pol.enabled() || attempt >= pol.MaxAttempts {
-			if attempt > 1 {
-				s.retries.Add(int64(attempt - 1))
-				err = fmt.Errorf("%w (after %d attempts)", err, attempt)
-			}
-			return 0, err
-		}
-		s.rt.noteRetry(w.slot, int(j.class))
-		if rng == nil {
-			// Allocated only on the retry slow path — the success path
-			// stays allocation-free. Decorrelated per worker,
-			// reproducible per seed, mirroring the batch path.
-			rng = rand.New(rand.NewSource(pol.Seed + int64(w.slot)*0x9E3779B9 + 1))
-		}
-		time.Sleep(pol.delay(attempt, rng))
-	}
-}
-
-// runOnce executes one task attempt, converting panics to errors.
-func (s *Server) runOnce(fn func(), fnE func() error, j *servJob, name string) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("host: job %d %s task panicked: %v", j.seq, name, rec)
-		}
-	}()
-	if fnE != nil {
-		if taskErr := fnE(); taskErr != nil {
-			return fmt.Errorf("host: job %d %s task failed: %w", j.seq, name, taskErr)
-		}
-		return nil
-	}
-	fn()
-	return nil
-}
-
-// finishJob retires one job: count it, record service latency, recycle
-// the block, release blocked submitters, and close the drain when this
-// was the last inflight job of a draining session.
-func (s *Server) finishJob(w *serveWorker, j *servJob, failed bool) {
-	if failed {
-		s.failed.Add(1)
-	} else {
-		s.completed.Add(1)
-		w.serviceH.Record(time.Duration(s.nowNs() - j.admitNs))
-	}
-	*j = servJob{}
-	for !s.free.push(j) {
-		runtime.Gosched()
-	}
-	if s.blockWaiters.Load() > 0 {
-		s.blockMu.Lock()
-		s.blockCond.Broadcast()
-		s.blockMu.Unlock()
-	}
 	if s.inflight.Add(-1) == 0 && s.draining.Load() {
 		s.closeDrained()
 	}
@@ -922,19 +300,19 @@ func (s *Server) Drain(ctx context.Context) (ServeStats, error) {
 	case <-ctx.Done():
 		return s.snapshotStats(), ctx.Err()
 	}
-	s.wg.Wait() // workers exited: histogram shards are quiescent
 	s.statsOnce.Do(func() {
-		for i := range s.workers {
-			if w := s.workers[i].Load(); w != nil {
-				s.finalQ.Merge(&w.queueH)
-				s.finalS.Merge(&w.serviceH)
-			}
+		s.quiesce() // workers exited: histogram shards are quiescent
+		s.final = new(latShard)
+		for i := range s.workers[:s.spawned.Load()] {
+			w := s.workers[i].Load()
+			s.final.queue.Merge(&w.hist.queue)
+			s.final.service.Merge(&w.hist.service)
 		}
-		s.rt.serving.Store(false)
+		s.close()
 	})
 	st := s.snapshotStats()
-	st.QueueLatency = s.finalQ
-	st.ServiceLatency = s.finalS
+	st.QueueLatency = s.final.queue
+	st.ServiceLatency = s.final.service
 	return st, nil
 }
 

@@ -515,3 +515,59 @@ func TestServeConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestServeHonoursDomain checks that Submit homes each job with
+// Config.Domain: with every job mapped to domain 0 of two and a static
+// MTL of 1, no two memory tasks may ever run at once.
+func TestServeHonoursDomain(t *testing.T) {
+	_, srv := newServer(t, Config{Workers: 8, Policy: Static, MTL: 1, Domains: 2,
+		Domain: func(int) int { return 0 }}, ServeConfig{})
+	live, peak := new(int64), new(int64)
+	const jobs = 200
+	for i := 0; i < jobs; i++ {
+		p := Pair{
+			Memory: func() {
+				cur := atomic.AddInt64(live, 1)
+				for {
+					old := atomic.LoadInt64(peak)
+					if cur <= old || atomic.CompareAndSwapInt64(peak, old, cur) {
+						break
+					}
+				}
+				time.Sleep(50 * time.Microsecond)
+				atomic.AddInt64(live, -1)
+			},
+			Compute: func() {},
+		}
+		if err := srv.Submit(p); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	st, err := srv.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Completed != jobs {
+		t.Fatalf("Completed = %d, want %d", st.Completed, jobs)
+	}
+	if got := atomic.LoadInt64(peak); got > 1 {
+		t.Fatalf("%d memory tasks ran at once in domain 0, MTL is 1", got)
+	}
+}
+
+// TestServeSubmitRejectsBadDomain checks that an out-of-range home
+// domain is refused at Submit, as Run refuses it.
+func TestServeSubmitRejectsBadDomain(t *testing.T) {
+	_, srv := newServer(t, Config{Workers: 2, Policy: Static, MTL: 1, Domains: 2,
+		Domain: func(int) int { return 2 }}, ServeConfig{})
+	if err := srv.Submit(Pair{Memory: func() {}, Compute: func() {}}); err == nil {
+		t.Fatal("Submit accepted a pair homed outside [0, Domains)")
+	}
+	st, err := srv.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Submitted != 0 {
+		t.Fatalf("Submitted = %d, want 0", st.Submitted)
+	}
+}

@@ -10,7 +10,7 @@ import (
 // throughout: a counter bumped on the per-task fast path is written
 // only to storage owned by the bumping worker (its own cache lines),
 // and shared totals are materialised by the infrequent readers — the
-// end-of-run Stats merge, or the controller's once-per-window signal
+// end-of-Run Stats merge, or the controller's once-per-window signal
 // harvest — by summing the shards. The per-task path therefore never
 // takes a contended atomic RMW for observability, which is exactly the
 // coherence-traffic pathology the MTL gate exists to avoid in DRAM.
@@ -25,17 +25,14 @@ type sigShard struct {
 	retries [core.MaxClasses]atomic.Int64
 }
 
-// domShard is one worker's dispatch counters for one memory domain,
-// attributed to the domain of the counted jobs (a thief homed at
-// domain 0 stealing domain-2 work counts into its own doms[2]). No
-// internal padding: the whole per-worker slice has a single writer and
-// its backing array is allocated per worker, so cross-worker line
-// sharing cannot occur.
+// domShard is one worker's take counters for one memory domain: the
+// admitted jobs it took from that domain's ring, split by whether the
+// domain is the worker's home. No internal padding: the per-worker
+// slice has a single writer and its own backing array, so cross-worker
+// line sharing cannot occur.
 type domShard struct {
-	steals       atomic.Int64 // same-domain steals (thief homed here)
-	remoteSteals atomic.Int64 // cross-domain steal visits
-	stolenJobs   atomic.Int64 // jobs moved by remote steal-half visits
-	spills       atomic.Int64 // jobs spilled to the domain's overflow
+	local  atomic.Int64 // takes by this worker, homed in the domain
+	remote atomic.Int64 // takes by this worker, homed elsewhere
 }
 
 // noteIssue records one memory-task admission for class, attributed to

@@ -4,7 +4,7 @@ import "runtime"
 
 // Adaptive spin-then-park: a worker that finds nothing runnable no
 // longer parks unconditionally — it first spins for a bounded budget,
-// polling its wakeup token and the ready counts, and only then blocks
+// polling its wakeup token and the admitted rings, and only then blocks
 // on the parker channel. At high submit rates the gap between "worker
 // goes idle" and "next job published" is far shorter than a park/unpark
 // round trip through the lot lock and the channel, so the spin converts

@@ -15,7 +15,7 @@ import (
 // unpadded records per line would make every worker's attempt
 // bookkeeping invalidate its neighbour's.
 type flightRec struct {
-	pair    atomic.Int64
+	pair    atomic.Int64 // the job's seq: pair index (Run) or submission number (Serve)
 	class   atomic.Int64 // traffic class, for the stall signal
 	start   atomic.Int64 // attempt start, UnixNano; 0 = idle
 	stalled atomic.Bool  // already flagged; a task stalls at most once
@@ -24,8 +24,8 @@ type flightRec struct {
 
 // set registers the start of one task attempt. Order matters: the pair
 // is published before the start timestamp arms the watchdog.
-func (f *flightRec) set(pair, class int) {
-	f.pair.Store(int64(pair))
+func (f *flightRec) set(seq int64, class int) {
+	f.pair.Store(seq)
 	f.class.Store(int64(class))
 	f.stalled.Store(false)
 	f.start.Store(time.Now().UnixNano())
@@ -38,119 +38,19 @@ func (f *flightRec) clear() {
 
 // watchdog periodically scans the flight registry for tasks that have
 // been running longer than Config.StallTimeout. A flagged task is
-// recorded in the phase's stall statistics; once the phase accumulates
-// Config.StallFallbackAfter stalls the runtime no longer trusts its
-// task timings and degrades gracefully: the Dynamic controller is
-// pinned to the conventional MTL (= workers) so a wedged memory task
-// can never starve the run through a tight throttle. The watchdog
-// exits when the phase completes or aborts.
-func (ph *phase) watchdog() {
-	r := ph.rt
-	tick := r.cfg.StallTimeout / 4
-	if tick < 200*time.Microsecond {
-		tick = 200 * time.Microsecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-ph.done:
-			return
-		case <-t.C:
-		}
-		now := time.Now().UnixNano()
-		for i := range ph.flight {
-			f := &ph.flight[i]
-			start := f.start.Load()
-			if start == 0 || f.stalled.Load() || now-start <= int64(r.cfg.StallTimeout) {
-				continue
-			}
-			f.stalled.Store(true)
-			ph.wdMu.Lock()
-			ph.stalls++
-			ph.stalledPairs = append(ph.stalledPairs, int(f.pair.Load()))
-			degrade := ph.stalls >= r.cfg.StallFallbackAfter
-			ph.wdMu.Unlock()
-			if r.obs != nil {
-				r.obs.OnSignal(int(f.class.Load()), core.SignalStall)
-			}
-			// The flagged worker may be wedged for good; with lazily
-			// spawned workers it could even be the only one alive, so
-			// grow the pool by a replacement to keep the phase moving.
-			ph.spawnWorker()
-			if degrade {
-				r.degrade(ph)
-			}
-		}
-	}
-}
-
-// degradeController pins an adaptive Dynamic controller to the
-// conventional MTL and mirrors the widened limit into every gate.
-// Reports false for non-Dynamic or already-degraded controllers.
-func (r *Runtime) degradeController() bool {
-	r.ctrlMu.Lock()
-	defer r.ctrlMu.Unlock()
-	d, ok := r.th.(*core.Dynamic)
-	if !ok || d.Degraded() {
-		return false
-	}
-	d.ForceConventional()
-	limit := int64(d.MTL())
-	for i := range r.gates {
-		r.gates[i].limit.Store(limit)
-	}
-	return true
-}
-
-// rearmController lifts a degraded Dynamic controller's fallback,
-// restarting MTL selection, and mirrors the new probe limit into the
-// gates. Reports false when there is nothing to re-arm.
-func (r *Runtime) rearmController() bool {
-	r.ctrlMu.Lock()
-	defer r.ctrlMu.Unlock()
-	d, ok := r.th.(*core.Dynamic)
-	if !ok || !d.Degraded() {
-		return false
-	}
-	d.Rearm()
-	limit := int64(d.MTL())
-	for i := range r.gates {
-		r.gates[i].limit.Store(limit)
-	}
-	return true
-}
-
-// degrade records a batch phase's fallback and widens the pool.
-func (r *Runtime) degrade(ph *phase) {
-	if !r.degradeController() {
-		return
-	}
-	ph.wdMu.Lock()
-	ph.degraded = true
-	ph.wdMu.Unlock()
-	// The MTL just widened to the worker count: wake gated workers and
-	// grow the pool (dispatch pressure takes it the rest of the way).
-	r.lot.unparkAll()
-	ph.spawnWorker()
-}
-
-// watchdog is the serving-session stall watchdog: the batch scan plus
-// the piece a barrier-free server needs — recovery. A batch phase ends
-// at its barrier, so degradation only ever has to last to the end of
-// the Run; a server runs indefinitely, and a controller pinned to the
-// conventional schedule forever after one stall storm would never
-// throttle again. With Config.StallRecoverAfter > 0, that many
-// consecutive clean scans (no task over the stall timeout — the
-// attacker stopped or was contained) re-arm the controller and restart
-// MTL selection.
+// recorded in the session's stall statistics, and the pool grows by a
+// replacement worker so the session keeps moving around it. Once the
+// session accumulates Config.StallFallbackAfter stalls the runtime no
+// longer trusts its task timings and degrades gracefully: the Dynamic
+// controller is pinned to the conventional MTL (= workers) so a wedged
+// memory task can never starve the session through a tight throttle.
+// With Config.StallRecoverAfter > 0, that many consecutive clean scans
+// (no task over the stall timeout — the attacker stopped or was
+// contained) re-arm the controller and restart MTL selection. The
+// watchdog exits when the session ends.
 func (s *Server) watchdog() {
 	r := s.rt
-	tick := r.cfg.StallTimeout / 4
-	if tick < 200*time.Microsecond {
-		tick = 200 * time.Microsecond
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(max(r.cfg.StallTimeout/4, 200*time.Microsecond))
 	defer t.Stop()
 	clean := 0
 	for {
@@ -180,8 +80,6 @@ func (s *Server) watchdog() {
 			if r.obs != nil {
 				r.obs.OnSignal(int(f.class.Load()), core.SignalStall)
 			}
-			// The wedged worker is out of rotation; grow the pool so
-			// the session keeps serving around it.
 			s.spawnWorker()
 			if degrade && r.degradeController() {
 				s.stallMu.Lock()
@@ -207,4 +105,34 @@ func (s *Server) watchdog() {
 			}
 		}
 	}
+}
+
+// degradeController pins an adaptive Dynamic controller to the
+// conventional MTL and mirrors the widened limit into every gate.
+// Reports false for non-Dynamic or already-degraded controllers.
+func (r *Runtime) degradeController() bool {
+	r.ctrlMu.Lock()
+	defer r.ctrlMu.Unlock()
+	d, ok := r.th.(*core.Dynamic)
+	if !ok || d.Degraded() {
+		return false
+	}
+	d.ForceConventional()
+	r.setLimit(int64(d.MTL()))
+	return true
+}
+
+// rearmController lifts a degraded Dynamic controller's fallback,
+// restarting MTL selection, and mirrors the new probe limit into the
+// gates. Reports false when there is nothing to re-arm.
+func (r *Runtime) rearmController() bool {
+	r.ctrlMu.Lock()
+	defer r.ctrlMu.Unlock()
+	d, ok := r.th.(*core.Dynamic)
+	if !ok || !d.Degraded() {
+		return false
+	}
+	d.Rearm()
+	r.setLimit(int64(d.MTL()))
+	return true
 }

@@ -9,13 +9,11 @@ import (
 // HostDomainCounters (D1H) is the host-runtime twin of the simulated
 // D1 sweep: it runs the live goroutine runtime sharded into 1, 2 and 4
 // memory domains and exports the per-domain dispatch counters the
-// runtime already collects — steals, remote steal-half visits, moved
-// jobs, deque spills, park events, parked time and peak admitted
-// concurrency. These are the observables the ROADMAP's Gast et al.
-// steal/idle validation needs: the simulated scheduler can only be
-// checked against mean-field steal/idle predictions once the real
-// dispatch layer reports how often work actually moved and how long
-// workers actually sat parked.
+// runtime already collects — home and remote takes from the domains'
+// admitted rings (the steal columns), ring spills, park events, parked
+// time and peak admitted concurrency (host.DomainStats defines each).
+// Remote takes and parked time are the observables a steal/idle model
+// such as Gast et al.'s would be checked against.
 //
 // Unlike D1 the numbers here are wall-clock measurements of live
 // goroutines, so they vary run to run (and with the machine's core
