@@ -68,9 +68,9 @@ BENCH_ALL = { $(BENCH_RUN) '^($(SIM_BENCHES))$$' ./internal/sim; \
 	$(BENCH_RUN) '^($(HOT_BENCHES))$$' .; \
 	$(BENCH_RUN) '^($(HOST_BENCHES))$$' ./host; }
 
-.PHONY: check lint fmt vet layout build test race bench bench-host bench-baseline bench-check
+.PHONY: check lint fmt vet layout build test perfbench race bench bench-host bench-baseline bench-check
 
-check: lint build test race
+check: lint build test perfbench race
 
 # lint is the static gate on its own: formatting, go vet, and the
 # cache-line layout assertions over the dispatch hot structs.
@@ -95,6 +95,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench is a nested module (it replaces memthrottle with ../), so
+# the root build and test never compile it; vet and test it on its own
+# so an API change that breaks the benchmark fails the gate.
+perfbench:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # The race pass re-runs the concurrency-heavy packages — the host
 # runtime (the dispatch core's worker pool, admission rings and pump,

@@ -22,9 +22,9 @@ import (
 // batch makespan.
 //
 // Everything runs on the deterministic virtual-time simulator
-// (simsched.ServeRun): seeded arrivals, seeded noise, and
-// deterministically merged histograms make the table byte-identical
-// across runs and across -j fan-outs. The wall-clock host serving path
+// (simsched.MixRun, as a single class-0 stream): seeded arrivals,
+// seeded noise, and deterministically merged histograms make the table
+// byte-identical across runs and across -j fan-outs. The wall-clock host serving path
 // is exercised by the host benchmarks instead, where real time is the
 // point; EXPERIMENTS.md records the split.
 
@@ -149,10 +149,11 @@ func ServeSweep(e Env) ([]ServeCell, float64, int, error) {
 				Compute:  sim.Time(compute),
 				Queue:    serveQueue,
 			}, policies[key.pol].mk())
+			oc := &res.ByClass[0]
 			goodput += res.Goodput
-			arrived += res.Arrived
-			dropped += res.Dropped
-			c.Sojourn.Merge(&res.Sojourn)
+			arrived += oc.Arrived
+			dropped += oc.Dropped
+			c.Sojourn.Merge(&oc.Sojourn)
 			if rep == 0 {
 				c.FinalMTL = res.FinalMTL
 			}

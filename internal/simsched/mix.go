@@ -3,10 +3,7 @@ package simsched
 import (
 	"fmt"
 
-	"memthrottle/internal/cache"
-	"memthrottle/internal/contend"
 	"memthrottle/internal/core"
-	"memthrottle/internal/machine"
 	"memthrottle/internal/sim"
 	"memthrottle/internal/stats"
 )
@@ -93,9 +90,10 @@ type MixResult struct {
 	// ByClass is indexed by class id, length max class + 1.
 	ByClass []ClassOutcome
 
-	PeakQueue    int
-	FinalMTL     int
-	MTLDecisions []int
+	PeakQueue     int
+	PeakActiveMem int // peak concurrent memory tasks, all domains
+	FinalMTL      int
+	MTLDecisions  []int
 	// ContainedAt is the virtual-time instant the throttler first
 	// demoted (blacklisted) any class, 0 if it never did — the
 	// time-to-contain metric.
@@ -115,22 +113,14 @@ type mixTask struct {
 
 // mixer is the live state of one MixRun.
 type mixer struct {
-	cfg   Config
-	spec  MixSpec
-	th    core.Throttler
-	lim   core.ClassLimiter // th's class-limit view, nil if class-blind
-	obs   core.Observer     // th's signal sink, nil if none
-	eng   *sim.Engine
-	mach  *machine.Machine
-	pools []*contend.Pool
-	llc   *cache.LLC
-	noise *stats.Noise
+	rig
+	spec MixSpec
+	lim  core.ClassLimiter // th's class-limit view, nil if class-blind
+	obs  core.Observer     // th's signal sink, nil if none
 
 	queue       []*mixTask
 	head        int
-	activeMem   []int // per domain
 	activeClass [core.MaxClasses]int
-	workers     []*worker
 	generated   []int // per stream
 	inflight    int
 	seq         int
@@ -138,28 +128,20 @@ type mixer struct {
 	res MixResult
 }
 
-// MixRun executes one mixed-stream open-loop serving simulation. Like
-// ServeRun it is fully seeded and bit-reproducible; unlike ServeRun it
-// tags every job with its stream's class, feeds class-aware throttlers
-// their per-class signals, and honors per-class limits and blacklists
-// at admission. Panics on invalid configuration or spec.
+// MixRun executes one mixed-stream open-loop serving simulation: every
+// job carries its stream's class, class-aware throttlers get their
+// per-class signals, and per-class limits and blacklists apply at
+// admission. A job's home domain is its enqueue index (jobs admitted
+// to the queue, not counting shed arrivals) modulo the domain count.
+// The throttler must be freshly constructed per run. Each call owns a
+// private engine and RNGs, so independent runs may execute
+// concurrently, and everything is seeded, so results are bit-identical
+// for identical inputs. Panics on invalid configuration or spec.
 func MixRun(cfg Config, spec MixSpec, th core.Throttler) MixResult {
 	runCount.Add(1)
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+	m := &mixer{rig: newRig(cfg, th), spec: spec}
 	if err := spec.Validate(); err != nil {
 		panic(err)
-	}
-	eng, poolEng, group := simEngines(cfg)
-	m := &mixer{
-		cfg:   cfg,
-		spec:  spec,
-		th:    th,
-		eng:   eng,
-		mach:  machine.New(eng, cfg.Machine),
-		llc:   cache.NewLLC(cfg.LLCBytes),
-		noise: stats.NewNoise(cfg.NoiseSigma, cfg.Seed),
 	}
 	m.lim, _ = th.(core.ClassLimiter)
 	m.obs, _ = th.(core.Observer)
@@ -170,33 +152,13 @@ func MixRun(cfg Config, spec MixSpec, th core.Throttler) MixResult {
 		}
 	}
 	m.res.ByClass = make([]ClassOutcome, maxClass+1)
-	nd := cfg.Machine.Domains()
-	m.activeMem = make([]int, nd)
-	for d := 0; d < nd; d++ {
-		params := cfg.Mem
-		if nd > 1 {
-			params = cfg.DomainMem[d]
-		}
-		m.pools = append(m.pools, contend.NewPool(poolEng[d], params))
-	}
-	threads := cfg.Machine.HardwareThreads()
-	for i := 0; i < threads; i++ {
-		m.workers = append(m.workers, &worker{
-			id:   i,
-			core: m.mach.Core(i % cfg.Machine.Cores),
-			idle: true,
-		})
-	}
-	if cfg.ResidentOverheadBytes > 0 {
-		m.llc.Reserve(cfg.ResidentOverheadBytes)
-	}
 
 	m.generated = make([]int, len(spec.Streams))
 	for i := range spec.Streams {
 		i := i
-		eng.After(sim.Time(spec.Streams[i].Arrivals.Next()), func() { m.arrive(i) })
+		m.eng.After(sim.Time(spec.Streams[i].Arrivals.Next()), func() { m.arrive(i) })
 	}
-	drainEngines(eng, group)
+	m.drain()
 
 	if m.inflight != 0 || m.pending() != 0 {
 		panic(fmt.Sprintf("simsched: mix deadlock — %d in flight, %d queued at drain",
@@ -273,8 +235,12 @@ func (m *mixer) admissible(t *mixTask, mtl int) bool {
 	return true
 }
 
-// dispatch admits the oldest admissible pending job to w, exactly as
-// the single-stream server does, with the class gate layered on.
+// dispatch admits the oldest admissible pending job to w: the MTL gate
+// is checked per home domain at dequeue, as the host serving path
+// admits against its per-domain gates, with the class gate layered
+// on. The worker carries the job end to end, gather under the
+// admission slot and then compute, so a busy worker maps one-to-one
+// onto an in-flight request.
 func (m *mixer) dispatch(w *worker) {
 	mtl := m.th.MTL()
 	idx := -1
@@ -306,6 +272,9 @@ func (m *mixer) dispatch(w *worker) {
 	m.res.ByClass[t.class].Queue.RecordSeconds(float64(now - t.arrived))
 	m.activeMem[t.dom]++
 	m.activeClass[t.class]++
+	if a := m.totalActiveMem(); a > m.res.PeakActiveMem {
+		m.res.PeakActiveMem = a
+	}
 	if m.obs != nil {
 		m.obs.OnSignal(t.class, core.SignalIssue)
 	}
@@ -313,28 +282,23 @@ func (m *mixer) dispatch(w *worker) {
 	m.pools[t.dom].Start(t.bytes, 1, func() { m.finishGather(w, t) })
 }
 
+func (m *mixer) totalActiveMem() int {
+	n := 0
+	for _, a := range m.activeMem {
+		n += a
+	}
+	return n
+}
+
 // finishGather releases the admission slots and starts the compute
-// half on the worker's core.
+// half on the worker's core. A freed slot may admit a queued job on
+// any idle worker, but not on w, still busy with t's compute.
 func (m *mixer) finishGather(w *worker, t *mixTask) {
-	now := m.eng.Now()
-	t.gatherT = now - t.admit
+	t.gatherT = m.eng.Now() - t.admit
 	m.activeMem[t.dom]--
 	m.activeClass[t.class]--
 	m.dispatchAll()
-
-	missFrac := m.llc.MissFraction()
-	pending := 1
-	part := func() {
-		pending--
-		if pending == 0 {
-			m.finishCompute(w, t)
-		}
-	}
-	if missFrac > 0 {
-		pending++
-		m.pools[t.dom].Start(missFrac*t.bytes, missFrac, part)
-	}
-	w.core.StartCompute(t.work, part)
+	m.startCompute(w, t.dom, t.bytes, t.work, func() { m.finishCompute(w, t) })
 }
 
 // finishCompute completes the job: record latencies, feed the

@@ -74,25 +74,36 @@ func TestSimParMatchesSerialDynamic(t *testing.T) {
 // server and the mixed adversarial runner, which share the per-domain
 // pool wiring with the closed-loop scheduler.
 func TestSimParMatchesSerialServe(t *testing.T) {
-	spec := ServeSpec{
-		Arrivals: nil, // set per run: arrival processes are stateful
-		Jobs:     120,
-		Gather:   float64(footprint),
-		Compute:  tm1(),
-		Queue:    16,
+	inputs := map[string]func(Config) MixResult{
+		// Arrival processes are stateful, so each run builds its own.
+		"serve": func(c Config) MixResult {
+			return ServeRun(c, ServeSpec{
+				Arrivals: workload.NewPoisson(3000, 77),
+				Jobs:     120,
+				Gather:   float64(footprint),
+				Compute:  tm1(),
+				Queue:    16,
+			}, core.Fixed{K: 2})
+		},
+		"mix-blacklist": func(c Config) MixResult {
+			return MixRun(c, MixSpec{
+				Streams: []Stream{mixVictim(3000, 120, 77), mixFlood(2500, 60, 79)},
+				Queue:   16,
+			}, core.NewPolicyThrottler(core.NewBlacklist(core.Fixed{K: 2}, core.BlacklistOptions{}), 16, 4))
+		},
 	}
-	for domains := 2; domains <= MaxMemDomains; domains++ {
-		mk := func(simPar bool) ServeResult {
-			c := domCfg(domains)
-			c.SimPar = simPar
-			c.NoiseSigma = 0.01
-			s := spec
-			s.Arrivals = workload.NewPoisson(3000, 77)
-			return ServeRun(c, s, core.Fixed{K: 2})
-		}
-		serial, par := mk(false), mk(true)
-		if !reflect.DeepEqual(serial, par) {
-			t.Errorf("domains=%d: SimPar serve run diverged from serial", domains)
+	for name, run := range inputs {
+		for domains := 2; domains <= MaxMemDomains; domains++ {
+			mk := func(simPar bool) MixResult {
+				c := domCfg(domains)
+				c.SimPar = simPar
+				c.NoiseSigma = 0.01
+				return run(c)
+			}
+			serial, par := mk(false), mk(true)
+			if !reflect.DeepEqual(serial, par) {
+				t.Errorf("%s, domains=%d: SimPar run diverged from serial", name, domains)
+			}
 		}
 	}
 }

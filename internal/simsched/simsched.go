@@ -34,8 +34,8 @@ type Config struct {
 	// Machine.MemDomains > 1 (entry d models domain d's DIMM; entries
 	// past the domain count are ignored and must stay zero). With a
 	// single domain Mem alone is used. Pairs are homed round-robin
-	// (pair index modulo the domain count), matching the host
-	// runtime's default placement rule.
+	// (pair index, or MixRun's enqueue index, modulo the domain
+	// count), matching the host runtime's default placement rule.
 	DomainMem [MaxMemDomains]contend.Params
 	// LLCBytes is the shared last-level cache capacity (paper: 8 MB).
 	LLCBytes float64
@@ -145,25 +145,32 @@ type Result struct {
 	Timeline *trace.Timeline // nil unless Config.RecordTrace
 }
 
+// rig is the simulated machine every run loop drives: the event
+// engines, the cores, one fluid memory pool per domain, the shared
+// LLC, the noise RNG and one worker per hardware thread.
+type rig struct {
+	cfg       Config
+	th        core.Throttler
+	eng       *sim.Engine
+	group     *sim.Group // merge-mode engine group under SimPar, else nil
+	mach      *machine.Machine
+	pools     []*contend.Pool // one fluid memory model per domain
+	llc       *cache.LLC
+	noise     *stats.Noise
+	workers   []*worker
+	activeMem []int // in-flight memory tasks per domain
+}
+
 // runner holds the live state of one simulation.
 type runner struct {
-	cfg   Config
-	prog  *stream.Program
-	th    core.Throttler
-	eng   *sim.Engine
-	mach  *machine.Machine
-	pools []*contend.Pool // one fluid memory model per domain
-	llc   *cache.LLC
-	noise *stats.Noise
+	rig
+	prog *stream.Program
 
 	phase          int
 	phaseRemaining int
 	phaseStart     sim.Time
 	readyMem       []*taskRun
 	readyCompute   []*taskRun
-	activeMem      []int // in-flight memory tasks per domain
-
-	workers []*worker
 
 	res      Result
 	tmByK    map[int]*stats.Welford
@@ -195,39 +202,94 @@ type worker struct {
 	id   int
 	core *machine.Core
 	idle bool
+
+	// parts counts the unfinished parts (core work, LLC-miss traffic)
+	// of the worker's compute task; done runs when the last finishes.
+	// partFn is w.part, bound once so a compute start allocates no
+	// completion closure of its own.
+	parts  int
+	done   func()
+	partFn func()
 }
 
-// simEngines builds the event engines for one run: the main engine
-// (machine cores, scheduler bookkeeping, arrivals) plus one engine per
-// memory domain for the fluid pools. With SimPar and multiple domains
-// each domain gets a private timing-wheel engine under a merge-mode
-// sim.Group; otherwise every domain entry aliases the single main
-// engine and the group is nil.
-func simEngines(cfg Config) (eng *sim.Engine, poolEng []*sim.Engine, group *sim.Group) {
+func (w *worker) part() {
+	w.parts--
+	if w.parts == 0 {
+		w.done()
+	}
+}
+
+// newRig validates cfg and builds a private machine for one run.
+// The main engine carries the cores, the scheduler bookkeeping and the
+// arrivals. With SimPar and multiple domains each domain's pool gets a
+// private timing-wheel engine under a merge-mode sim.Group; otherwise
+// every pool shares the main engine. With a unified memory system Mem
+// parameterises the single pool, otherwise each domain's DIMM gets its
+// own independently calibrated model. Panics on invalid configuration.
+func newRig(cfg Config, th core.Throttler) rig {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	nd := cfg.Machine.Domains()
+	poolEng := make([]*sim.Engine, nd)
+	r := rig{cfg: cfg, th: th}
 	if cfg.SimPar && nd > 1 {
 		engines := make([]*sim.Engine, nd+1)
 		for i := range engines {
 			engines[i] = sim.NewWheel()
 		}
-		return engines[0], engines[1:], sim.NewGroup(engines...)
+		r.eng, r.group = engines[0], sim.NewGroup(engines...)
+		copy(poolEng, engines[1:])
+	} else {
+		r.eng = sim.NewWheel()
+		for d := range poolEng {
+			poolEng[d] = r.eng
+		}
 	}
-	eng = sim.NewWheel()
-	poolEng = make([]*sim.Engine, nd)
-	for d := range poolEng {
-		poolEng[d] = eng
+	r.mach = machine.New(r.eng, cfg.Machine)
+	r.llc = cache.NewLLC(cfg.LLCBytes)
+	r.noise = stats.NewNoise(cfg.NoiseSigma, cfg.Seed)
+	r.activeMem = make([]int, nd)
+	for d := 0; d < nd; d++ {
+		params := cfg.Mem
+		if nd > 1 {
+			params = cfg.DomainMem[d]
+		}
+		r.pools = append(r.pools, contend.NewPool(poolEng[d], params))
 	}
-	return eng, poolEng, nil
+	for i := 0; i < cfg.Machine.HardwareThreads(); i++ {
+		w := &worker{id: i, core: r.mach.Core(i % cfg.Machine.Cores), idle: true}
+		w.partFn = w.part
+		r.workers = append(r.workers, w)
+	}
+	if cfg.ResidentOverheadBytes > 0 {
+		r.llc.Reserve(cfg.ResidentOverheadBytes)
+	}
+	return r
 }
 
-// drainEngines runs the event loop to completion in whichever shape
-// simEngines produced.
-func drainEngines(eng *sim.Engine, group *sim.Group) {
-	if group != nil {
-		group.Run()
+// drain runs the event loop to completion.
+func (r *rig) drain() {
+	if r.group != nil {
+		r.group.Run()
 	} else {
-		eng.Run()
+		r.eng.Run()
 	}
+}
+
+// startCompute runs work on w's core. If live footprints overflow the
+// LLC the task also drives miss traffic for its missed share of bytes
+// into the home domain's pool, where the footprint lives; done fires
+// once both parts finish. It returns the miss fraction.
+func (r *rig) startCompute(w *worker, dom int, bytes float64, work sim.Time, done func()) float64 {
+	missFrac := r.llc.MissFraction()
+	w.parts, w.done = 1, done
+	if missFrac > 0 {
+		w.parts++
+		r.pools[dom].Start(missFrac*bytes, missFrac, w.partFn)
+	}
+	w.core.StartCompute(work, w.partFn)
+	return missFrac
 }
 
 // runCount counts Run invocations process-wide. The experiment
@@ -246,53 +308,17 @@ func RunCount() uint64 { return runCount.Load() }
 // invalid configuration or program: both are programmer-supplied.
 func Run(prog *stream.Program, cfg Config, th core.Throttler) Result {
 	runCount.Add(1)
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+	r := &runner{rig: newRig(cfg, th), prog: prog, tmByK: make(map[int]*stats.Welford)}
 	if err := prog.Validate(); err != nil {
 		panic(err)
 	}
-	eng, poolEng, group := simEngines(cfg)
-	r := &runner{
-		cfg:   cfg,
-		prog:  prog,
-		th:    th,
-		eng:   eng,
-		mach:  machine.New(eng, cfg.Machine),
-		llc:   cache.NewLLC(cfg.LLCBytes),
-		noise: stats.NewNoise(cfg.NoiseSigma, cfg.Seed),
-		tmByK: make(map[int]*stats.Welford),
-	}
-	// One fluid pool per memory domain: with a unified memory system
-	// Mem parameterises the single pool, otherwise each domain's DIMM
-	// gets its own independently calibrated model (on its own engine
-	// when SimPar shards the run).
-	nd := cfg.Machine.Domains()
-	r.activeMem = make([]int, nd)
-	for d := 0; d < nd; d++ {
-		params := cfg.Mem
-		if nd > 1 {
-			params = cfg.DomainMem[d]
-		}
-		r.pools = append(r.pools, contend.NewPool(poolEng[d], params))
-	}
-	threads := cfg.Machine.HardwareThreads()
-	for i := 0; i < threads; i++ {
-		r.workers = append(r.workers, &worker{
-			id:   i,
-			core: r.mach.Core(i % cfg.Machine.Cores),
-			idle: true,
-		})
-	}
+	threads := len(r.workers)
 	if cfg.RecordTrace {
 		r.timeline = trace.New(threads)
 	}
-	if cfg.ResidentOverheadBytes > 0 {
-		r.llc.Reserve(cfg.ResidentOverheadBytes)
-	}
 
 	r.enterPhase(0)
-	drainEngines(eng, group)
+	r.drain()
 
 	if r.phase < len(prog.Phases) {
 		panic(fmt.Sprintf("simsched: deadlock — run ended in phase %d/%d with %d tasks left",
@@ -300,7 +326,7 @@ func Run(prog *stream.Program, cfg Config, th core.Throttler) Result {
 	}
 
 	r.res.Policy = th.Name()
-	r.res.TotalTime = eng.Now()
+	r.res.TotalTime = r.eng.Now()
 	r.res.IdleTime = r.res.TotalTime*sim.Time(threads) - r.res.BusyTime
 	r.res.FinalMTL = th.MTL()
 	r.res.MTLDecisions = decisions(th)
@@ -428,7 +454,7 @@ func (r *runner) dispatch(w *worker) {
 	case compOK:
 		ts := r.readyCompute[0]
 		r.readyCompute = r.readyCompute[1:]
-		r.startCompute(w, ts)
+		r.startComputeTask(w, ts)
 	default:
 		w.idle = true
 		return
@@ -494,28 +520,14 @@ func scatterOf(p *stream.Program, t *stream.Task) *stream.Task {
 	return p.Phases[t.Phase].Pairs[t.Pair].Scatter
 }
 
-// startCompute runs a compute task on w's core; if live footprints
-// overflow the LLC the task also drives miss traffic into the memory
-// pool and completes only when both parts finish.
-func (r *runner) startCompute(w *worker, ts *taskRun) {
+// startComputeTask runs a compute task on w, completing it once its
+// core work and any LLC-miss traffic are done.
+func (r *runner) startComputeTask(w *worker, ts *taskRun) {
 	ts.start = r.eng.Now()
-	missFrac := r.llc.MissFraction()
+	missFrac := r.startCompute(w, ts.dom, ts.pair.gatherBytes, ts.pair.computeWork, func() {
+		r.finishCompute(w, ts)
+	})
 	r.missAgg.Add(missFrac)
-
-	pending := 1
-	part := func() {
-		pending--
-		if pending == 0 {
-			r.finishCompute(w, ts)
-		}
-	}
-	if missFrac > 0 {
-		// Miss traffic hits the pair's home domain, where its
-		// footprint lives.
-		pending++
-		r.pools[ts.dom].Start(missFrac*ts.pair.gatherBytes, missFrac, part)
-	}
-	w.core.StartCompute(ts.pair.computeWork, part)
 }
 
 func (r *runner) finishCompute(w *worker, ts *taskRun) {
