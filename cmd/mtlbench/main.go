@@ -32,12 +32,15 @@ import (
 )
 
 // timingSnapshot is the -timings JSON shape: per-experiment wall-clock
-// plus enough context (reps mode, workers, host) to compare snapshots.
+// plus enough context (reps mode, workers, host CPUs, toolchain) to
+// compare snapshots.
 type timingSnapshot struct {
 	Generated      string             `json:"generated"`
 	Quick          bool               `json:"quick"`
 	Workers        int                `json:"workers"`
 	GOMAXPROCS     int                `json:"gomaxprocs"`
+	NumCPU         int                `json:"num_cpu"`
+	GoVersion      string             `json:"go_version"`
 	CalibrationSec float64            `json:"calibration_sec"`
 	TotalSec       float64            `json:"total_sec"`
 	Experiments    map[string]float64 `json:"experiments"`
@@ -212,6 +215,8 @@ func run() error {
 			Quick:          *quick,
 			Workers:        parallel.Workers(*jobs),
 			GOMAXPROCS:     runtime.GOMAXPROCS(0),
+			NumCPU:         runtime.NumCPU(),
+			GoVersion:      runtime.Version(),
 			CalibrationSec: calSec,
 			TotalSec:       time.Since(t0).Seconds(),
 			Experiments:    elapsed,

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -91,5 +92,42 @@ func TestCalibrateParallelMatchesSerial(t *testing.T) {
 		if a.Tm[k] != b.Tm[k] {
 			t.Errorf("Tm[%d] differs: %v vs %v", k, a.Tm[k], b.Tm[k])
 		}
+	}
+}
+
+// TestCalibrateCachedReusesWiderSweep asserts that a request whose
+// points a wider cached sweep already measured runs no sweep of its
+// own, and that the fit it serves is the one-shot Calibrate's bit for
+// bit.
+func TestCalibrateCachedReusesWiderSweep(t *testing.T) {
+	cfg := DDR3_1066()
+	cfg.Seed = 434343 // private key: other tests must not pre-warm it
+
+	if _, err := CalibrateCached(cfg, 8, 6, footprint512K); err != nil {
+		t.Fatal(err)
+	}
+	before := CalibrateRuns()
+	got, err := CalibrateCached(cfg, 4, 6, footprint512K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := CalibrateRuns() - before; n != 0 {
+		t.Errorf("narrower request ran %d calibrations, want 0", n)
+	}
+	want, err := Calibrate(cfg, 4, 6, footprint512K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reused fit differs from Calibrate:\n got %+v\nwant %+v", got, want)
+	}
+
+	// A different methodology must still measure.
+	before = CalibrateRuns()
+	if _, err := CalibrateCached(cfg, 4, 7, footprint512K); err != nil {
+		t.Fatal(err)
+	}
+	if n := CalibrateRuns() - before; n != 1 {
+		t.Errorf("distinct tasksPerStream ran %d calibrations, want 1", n)
 	}
 }

@@ -44,7 +44,7 @@ func NewCalibrator(cfg Config, tasksPerStream, footprint int) (*Calibrator, erro
 	if err := validateMeasure(cfg, 1, tasksPerStream, footprint); err != nil {
 		return nil, err
 	}
-	eng := sim.NewWheel()
+	eng := newEngine(cfg)
 	return &Calibrator{
 		cfg:            cfg,
 		tasksPerStream: tasksPerStream,

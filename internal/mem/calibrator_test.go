@@ -1,8 +1,38 @@
 package mem
 
 import (
+	"slices"
 	"testing"
+
+	"memthrottle/internal/sim"
+	"memthrottle/internal/stats"
 )
+
+// TestMeasureTaskTimeMatchesHeapEngine is the differential check of the
+// engine calibration runs on — a timing wheel ticking at TBurst —
+// against the reference heap engine: every post-warm-up task duration,
+// and so MeasureTaskTime's mean, must agree bit for bit.
+func TestMeasureTaskTimeMatchesHeapEngine(t *testing.T) {
+	for _, channels := range []int{1, 2} {
+		cfg := DDR3_1066().WithChannels(channels)
+		for k := 1; k <= 3; k++ {
+			heap := sim.New()
+			want := measureStreams(heap, NewSystem(heap, cfg), k, 6, footprint512K, nil)
+			wheel := newEngine(cfg)
+			got := measureStreams(wheel, NewSystem(wheel, cfg), k, 6, footprint512K, nil)
+			if !slices.Equal(got, want) {
+				t.Errorf("%d channel(s), k = %d: wheel durations differ from the heap engine's", channels, k)
+			}
+			tm, err := MeasureTaskTime(cfg, k, 6, footprint512K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := sim.Time(stats.Mean(want)); tm != m {
+				t.Errorf("%d channel(s), k = %d: MeasureTaskTime %v, heap engine %v", channels, k, tm, m)
+			}
+		}
+	}
+}
 
 // TestCalibratorMatchesColdCalibrate is the warm-start determinism
 // contract: a Calibrator sweep on reused engine state must reproduce

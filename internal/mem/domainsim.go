@@ -106,11 +106,11 @@ func (ds DomainSet) Simulate(spec DomainSimSpec) (DomainSimResult, error) {
 	if spec.Parallel && nd > 1 {
 		h.engines = make([]*sim.Engine, nd)
 		for d := range h.engines {
-			h.engines[d] = sim.NewWheel()
+			h.engines[d] = newEngine(ds.Configs[d])
 		}
 		h.group = sim.NewWindowGroup(h.engines...)
 	} else {
-		eng := sim.NewWheel()
+		eng := newEngine(ds.Configs[0])
 		h.engines = make([]*sim.Engine, nd)
 		for d := range h.engines {
 			h.engines[d] = eng

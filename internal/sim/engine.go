@@ -246,7 +246,8 @@ func New() *Engine { return &Engine{} }
 // determinism are identical to New; only the complexity profile differs.
 func NewWheel() *Engine { return NewWheelTick(DefaultWheelTick) }
 
-// NewWheelTick is NewWheel with an explicit level-0 bucket width.
+// NewWheelTick is NewWheel with an explicit level-0 bucket width, to be
+// sized to the engine's scheduled delays (see wheel.go).
 func NewWheelTick(tick Time) *Engine {
 	return &Engine{wheel: newTimingWheel(tick)}
 }

@@ -7,19 +7,28 @@ import (
 
 // This file implements the hierarchical timing-wheel event queue — the
 // O(1) alternative to the indexed 4-ary heap for the simulation hot
-// path. DRAM traffic schedules almost exclusively at short fixed
-// latencies (bank busy, channel transfer, stream-pump quanta, the
-// fluid pool's next-completion horizon), so nearly every event lands
-// within a few microseconds of the clock: a wheel turns those
-// schedule/cancel/fire operations into array indexing where the heap
-// pays a sift per operation.
+// path. Each simulator schedules within a narrow band of delays
+// relative to its own time scale — DRAM commands a few ns to ~100 ns
+// ahead, scheduler task completions tens to hundreds of µs ahead — so
+// a wheel whose tick fits the band turns those schedule/cancel/fire
+// operations into array indexing where the heap pays a sift per
+// operation.
 //
-// Layout: two wheel levels of 256 slots each over a 64 ns tick —
-// level 0 resolves single ticks across a 16.4 µs window, level 1
-// resolves 256-tick spans across a 4.2 ms window — plus an overflow
-// min-heap (the existing eventQueue) for the sparse far future.
-// Per-level occupancy bitmaps make "next non-empty slot" a handful of
-// trailing-zero scans.
+// Layout: two wheel levels of 256 slots each over a per-engine tick —
+// level 0 resolves single ticks across a 256-tick window, level 1
+// resolves 256-tick spans across a 65536-tick window — plus an
+// overflow min-heap (the existing eventQueue) for the sparse far
+// future. Per-level occupancy bitmaps make "next non-empty slot" a
+// handful of trailing-zero scans.
+//
+// Sizing the tick: an event due in the bucket already firing takes a
+// sorted insert into it, and a drained bucket of more than 16 events
+// takes a sort, so a tick much wider than the typical delay loses the
+// wheel's advantage; an event due past level 0's window is linked into
+// level 1 first and spilled down later, so a tick much narrower than
+// the typical delay pays twice. Callers therefore pick the tick from
+// their measured delay mix (NewWheelTick); the tick never changes what
+// fires or in what order.
 //
 // Determinism contract (see DESIGN.md): the wheel fires events in
 // exactly the heap's (due, seq) order. Bucketing is order-preserving
@@ -43,9 +52,13 @@ const (
 	wheelSpan1 = wheelSlots * wheelSlots
 )
 
-// DefaultWheelTick is the level-0 bucket width. 64 ns comfortably
-// separates DRAM command timings (tens of ns) while level 1 still
-// covers millisecond-scale task completions and arrival gaps.
+// DefaultWheelTick is NewWheel's level-0 bucket width, for engines
+// without a measured delay mix: level 0 spans 16.4 µs and level 1
+// 4.2 ms. The repository's simulators size their own ticks instead —
+// the DRAM engines tick at the bus burst time (a few ns), where 64 ns
+// buckets would gather most calibration events into the bucket already
+// firing, and the scheduler engines at 4 µs, where their task-scale
+// delays fall inside level 0.
 const DefaultWheelTick = 64 * Nanosecond
 
 // Event location codes stored in Event.loc. Non-negative values encode

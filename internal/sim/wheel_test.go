@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -301,12 +302,20 @@ type firedAt struct {
 	at    Time
 }
 
-// scriptDelay decodes two bytes into a delay chosen to hit every wheel
-// store: the current instant, sub-tick offsets, the level-0 window, the
-// level-1 window, the overflow heap, and — the regime that found the
-// window-boundary drain bug — delays landing exactly on (or one tick
-// shy of) level-0 window and level-1 rotation boundaries.
-func scriptDelay(a, b byte) Time {
+// diffTicks are the wheel ticks the differential driver checks against
+// the heap: the default, DDR3-1066's TBurst (the DRAM engines' tick)
+// and the scheduler simulation's 4 µs. None is a power of two in
+// seconds, so due times on bucket edges exercise tickOf's float
+// rounding.
+var diffTicks = []Time{DefaultWheelTick, 7.5 * Nanosecond, 4 * Microsecond}
+
+// scriptDelay decodes two bytes into a delay chosen to hit every store
+// of a wheel ticking at tick: the current instant, sub-tick offsets,
+// the level-0 window, the level-1 window, the overflow heap, and — the
+// regime that found the window-boundary drain bug — delays landing
+// exactly on (or one tick shy of) level-0 window and level-1 rotation
+// boundaries.
+func scriptDelay(a, b byte, tick Time) Time {
 	m := Time(b)
 	switch a % 7 {
 	case 0:
@@ -314,26 +323,27 @@ func scriptDelay(a, b byte) Time {
 	case 1:
 		return m * Nanosecond
 	case 2:
-		return m * 64 * Nanosecond
+		return m * tick
 	case 3:
 		return 20*Microsecond + m*Microsecond
 	case 4:
-		return m * wheelSlots * DefaultWheelTick // window-aligned
+		return m * wheelSlots * tick // window-aligned
 	case 5:
 		if b == 0 {
-			return (wheelSpan1 - 1) * DefaultWheelTick // last tick of a rotation
+			return (wheelSpan1 - 1) * tick // last tick of a rotation
 		}
-		return (m*wheelSlots - 1) * DefaultWheelTick // last tick of a window
+		return (m*wheelSlots - 1) * tick // last tick of a window
 	default:
-		return 5*Millisecond + m*Millisecond
+		return wheelSpan1*tick + m*Millisecond // overflow heap
 	}
 }
 
 // runScript interprets ops as a deterministic schedule/cancel/step
 // program against one engine and returns the fire trace. The same
 // script run on a heap engine and a wheel engine must produce the same
-// trace — that is the wheel's whole correctness contract.
-func runScript(e *Engine, ops []byte) []firedAt {
+// trace — that is the wheel's whole correctness contract. tick picks
+// the delays (see scriptDelay).
+func runScript(e *Engine, ops []byte, tick Time) []firedAt {
 	var got []firedAt
 	var live []*Event
 	label := 0
@@ -344,7 +354,7 @@ func runScript(e *Engine, ops []byte) []firedAt {
 			l, slot := label, len(live)
 			label++
 			live = append(live, nil)
-			live[slot] = e.After(scriptDelay(a, b), func() {
+			live[slot] = e.After(scriptDelay(a, b, tick), func() {
 				live[slot] = nil // handle is dead: stop cancelling it
 				got = append(got, firedAt{l, e.Now()})
 			})
@@ -353,7 +363,7 @@ func runScript(e *Engine, ops []byte) []firedAt {
 			label++
 			live = append(live, nil)
 			slot := len(live) - 1
-			live[slot] = e.After(scriptDelay(a, b), func() {
+			live[slot] = e.After(scriptDelay(a, b, tick), func() {
 				live[slot] = nil
 				got = append(got, firedAt{l, e.Now()})
 				e.At(e.Now(), func() { got = append(got, firedAt{l + 1<<20, e.Now()}) })
@@ -377,16 +387,20 @@ func runScript(e *Engine, ops []byte) []firedAt {
 	return got
 }
 
+// diffScript runs ops on the heap and on a wheel of every diffTicks
+// tick and fails at the first divergence.
 func diffScript(t *testing.T, ops []byte) {
 	t.Helper()
-	heap := runScript(New(), ops)
-	wheel := runScript(NewWheel(), ops)
-	if len(heap) != len(wheel) {
-		t.Fatalf("heap fired %d events, wheel fired %d (ops %v)", len(heap), len(wheel), ops)
-	}
-	for i := range heap {
-		if heap[i] != wheel[i] {
-			t.Fatalf("divergence at event %d: heap %+v, wheel %+v (ops %v)", i, heap[i], wheel[i], ops)
+	for _, tick := range diffTicks {
+		heap := runScript(New(), ops, tick)
+		wheel := runScript(NewWheelTick(tick), ops, tick)
+		if len(heap) != len(wheel) {
+			t.Fatalf("tick %v: heap fired %d events, wheel fired %d (ops %v)", tick, len(heap), len(wheel), ops)
+		}
+		for i := range heap {
+			if heap[i] != wheel[i] {
+				t.Fatalf("tick %v: divergence at event %d: heap %+v, wheel %+v (ops %v)", tick, i, heap[i], wheel[i], ops)
+			}
 		}
 	}
 }
@@ -435,11 +449,12 @@ func BenchmarkEngineStepWheel(b *testing.B) {
 	}
 }
 
-// benchDeep measures the schedule/fire cycle with depth pending events
-// — the regime the experiments actually run in (hundreds of in-flight
-// DRAM requests and pool completions), where the heap pays O(log n)
-// sifts per operation and the wheel pays O(1). Events are spaced one
-// wheel tick apart, the spacing short DRAM latencies produce.
+// benchDeep measures the schedule/fire cycle with depth pending events,
+// where the heap pays O(log n) sifts per operation and the wheel pays
+// O(1). Events sit one default tick apart and each reschedules depth
+// ticks ahead, so every bucket holds exactly one event: the wheel's
+// best case, not the spacing DRAM traffic produces (that is
+// BenchmarkEngineStepDRAMMix).
 func benchDeep(b *testing.B, e *Engine, depth int) {
 	var fn func()
 	fn = func() { e.After(Time(depth)*DefaultWheelTick, fn) }
@@ -455,3 +470,55 @@ func benchDeep(b *testing.B, e *Engine, depth int) {
 
 func BenchmarkEngineStepDeep256(b *testing.B)      { benchDeep(b, New(), 256) }
 func BenchmarkEngineStepWheelDeep256(b *testing.B) { benchDeep(b, NewWheel(), 256) }
+
+// dramMixNs is the scheduled-delay mix (due - now) of DRAM calibration
+// as 32 equal-probability quantiles, in ns: every event of
+// MeasureTaskTime on DDR3-1066 with 1 and 2 channels, k = 1..8, six
+// 512 KiB tasks per stream. Half the events are due within 23 ns, nine
+// in ten within 64 ns.
+var dramMixNs = [32]float64{
+	2.2, 2.8, 3.2, 3.7, 4.2, 4.7, 5.2, 5.7,
+	13, 13, 13, 13, 13, 13, 13, 20.5,
+	26.8, 33.3, 36.2, 38.8, 41.5, 44.3, 46.3, 47,
+	48.4, 51, 53.1, 55.5, 58.5, 77, 106.4, 136.8,
+}
+
+// BenchmarkEngineStepDRAMMix measures the schedule/fire cycle on
+// calibration's own traffic: 16 pending events (the median depth of a
+// k = 4 calibration point), each rescheduling after a seeded draw from
+// dramMixNs. It runs on the heap, on the default 64 ns wheel and on a
+// wheel ticking at DDR3-1066's TBurst, the tick the DRAM engines use.
+func BenchmarkEngineStepDRAMMix(b *testing.B) {
+	const depth = 16
+	rng := rand.New(rand.NewPCG(1, 2))
+	var delays [4096]Time
+	for i := range delays {
+		delays[i] = Time(dramMixNs[rng.IntN(len(dramMixNs))]) * Nanosecond
+	}
+	for _, c := range []struct {
+		name string
+		eng  func() *Engine
+	}{
+		{"heap", New},
+		{"wheel64ns", NewWheel},
+		{"wheelTBurst", func() *Engine { return NewWheelTick(7.5 * Nanosecond) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			e := c.eng()
+			next := 0
+			var fn func()
+			fn = func() {
+				e.After(delays[next%len(delays)], fn)
+				next++
+			}
+			for i := 0; i < depth; i++ {
+				fn()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
+	}
+}

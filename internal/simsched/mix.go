@@ -212,10 +212,12 @@ func (m *mixer) arrive(i int) {
 	}
 }
 
+// dispatchAll gives every idle worker a chance to admit a job, stopping
+// at the first one left idle (see runner.dispatchAll).
 func (m *mixer) dispatchAll() {
 	for _, w := range m.workers {
-		if w.idle {
-			m.dispatch(w)
+		if w.idle && !m.dispatch(w) {
+			return
 		}
 	}
 }
@@ -240,31 +242,24 @@ func (m *mixer) admissible(t *mixTask, mtl int) bool {
 // admits against its per-domain gates, with the class gate layered
 // on. The worker carries the job end to end, gather under the
 // admission slot and then compute, so a busy worker maps one-to-one
-// onto an in-flight request.
-func (m *mixer) dispatch(w *worker) {
+// onto an in-flight request. It reports whether w got a job.
+func (m *mixer) dispatch(w *worker) bool {
 	mtl := m.th.MTL()
 	idx := -1
-	for i := m.head; i < len(m.queue); i++ {
-		if m.admissible(m.queue[i], mtl) {
-			idx = i
-			break
+	if m.tokenFree(mtl) {
+		for i := m.head; i < len(m.queue); i++ {
+			if m.admissible(m.queue[i], mtl) {
+				idx = i
+				break
+			}
 		}
 	}
 	if idx < 0 {
 		w.idle = true
-		return
+		return false
 	}
-	t := m.queue[idx]
-	if idx == m.head {
-		m.queue[m.head] = nil
-		m.head++
-		if m.head == len(m.queue) {
-			m.queue = m.queue[:0]
-			m.head = 0
-		}
-	} else {
-		m.queue = append(m.queue[:idx], m.queue[idx+1:]...)
-	}
+	var t *mixTask
+	m.queue, m.head, t = takeAt(m.queue, m.head, idx)
 	w.idle = false
 	m.inflight++
 	now := m.eng.Now()
@@ -280,6 +275,7 @@ func (m *mixer) dispatch(w *worker) {
 	}
 	m.llc.Reserve(t.bytes)
 	m.pools[t.dom].Start(t.bytes, 1, func() { m.finishGather(w, t) })
+	return true
 }
 
 func (m *mixer) totalActiveMem() int {

@@ -169,7 +169,8 @@ type runner struct {
 	phase          int
 	phaseRemaining int
 	phaseStart     sim.Time
-	readyMem       []*taskRun
+	readyMem       []*taskRun // live from memHead on
+	memHead        int
 	readyCompute   []*taskRun
 
 	res      Result
@@ -219,6 +220,16 @@ func (w *worker) part() {
 	}
 }
 
+// wheelTick is the level-0 bucket width of every engine a run builds.
+// The scheduler's events are task-scale: about three quarters of them
+// are due 32-262 µs ahead (gather and compute completions, the next
+// arrival), past the 16 µs level-0 window the wheel's default 64 ns
+// tick spans, so each would be linked into level 1 and spilled down
+// later. A 4 µs tick puts that whole band inside level 0's 1 ms window.
+// Fire order is (due, seq) whatever the tick, so results do not
+// depend on it.
+const wheelTick = 4 * sim.Microsecond
+
 // newRig validates cfg and builds a private machine for one run.
 // The main engine carries the cores, the scheduler bookkeeping and the
 // arrivals. With SimPar and multiple domains each domain's pool gets a
@@ -236,12 +247,12 @@ func newRig(cfg Config, th core.Throttler) rig {
 	if cfg.SimPar && nd > 1 {
 		engines := make([]*sim.Engine, nd+1)
 		for i := range engines {
-			engines[i] = sim.NewWheel()
+			engines[i] = sim.NewWheelTick(wheelTick)
 		}
 		r.eng, r.group = engines[0], sim.NewGroup(engines...)
 		copy(poolEng, engines[1:])
 	} else {
-		r.eng = sim.NewWheel()
+		r.eng = sim.NewWheelTick(wheelTick)
 		for d := range poolEng {
 			poolEng[d] = r.eng
 		}
@@ -266,6 +277,33 @@ func newRig(cfg Config, th core.Throttler) rig {
 		r.llc.Reserve(cfg.ResidentOverheadBytes)
 	}
 	return r
+}
+
+// tokenFree reports whether any domain has an MTL token left under
+// mtl. When none has, no memory task is admissible and the dispatch
+// loops skip their ready-queue scan.
+func (r *rig) tokenFree(mtl int) bool {
+	for _, a := range r.activeMem {
+		if a < mtl {
+			return true
+		}
+	}
+	return false
+}
+
+// takeAt removes q[i] from the live queue q[head:] and returns the
+// queue, its new head and the removed element. Taking the head only
+// advances it; both rewind to the start once the queue empties.
+func takeAt[T any](q []*T, head, i int) ([]*T, int, *T) {
+	x := q[i]
+	if i != head {
+		return append(q[:i], q[i+1:]...), head, x
+	}
+	q[i] = nil
+	if head++; head == len(q) {
+		return q[:0], 0, x
+	}
+	return q, head, x
 }
 
 // drain runs the event loop to completion.
@@ -411,18 +449,20 @@ func (r *runner) enterPhase(p int) {
 		}
 		// Home domain: pair index modulo the domain count, the same
 		// round-robin placement the host runtime defaults to.
-		r.readyMem = insertByID(r.readyMem, &taskRun{
+		r.readyMem = insertByID(r.readyMem, r.memHead, &taskRun{
 			task: pr.Gather, pair: pairState, dom: i % len(r.pools),
 		})
 	}
 	r.dispatchAll()
 }
 
-// dispatchAll gives every idle worker a chance to pick up work.
+// dispatchAll gives every idle worker a chance to pick up work. It
+// stops at the first worker left idle: a failed dispatch changes no
+// state, so every later idle worker would fail too.
 func (r *runner) dispatchAll() {
 	for _, w := range r.workers {
-		if w.idle {
-			r.dispatch(w)
+		if w.idle && !r.dispatch(w) {
+			return
 		}
 	}
 }
@@ -435,21 +475,24 @@ func (r *runner) dispatchAll() {
 // MTL). This yields the per-thread gather-compute alternation of
 // Fig. 4 and keeps the number of in-flight pairs — and hence the live
 // LLC footprint — bounded. With one domain the admissibility scan
-// degenerates to the old head-of-queue check.
-func (r *runner) dispatch(w *worker) {
+// degenerates to the old head-of-queue check. It reports whether w got
+// a task.
+func (r *runner) dispatch(w *worker) bool {
 	mtl := r.th.MTL()
 	memIdx := -1
-	for i, ts := range r.readyMem {
-		if r.activeMem[ts.dom] < mtl {
-			memIdx = i
-			break
+	if r.tokenFree(mtl) {
+		for i := r.memHead; i < len(r.readyMem); i++ {
+			if r.activeMem[r.readyMem[i].dom] < mtl {
+				memIdx = i
+				break
+			}
 		}
 	}
 	compOK := len(r.readyCompute) > 0
 	switch {
 	case memIdx >= 0 && (!compOK || r.readyMem[memIdx].task.ID < r.readyCompute[0].task.ID):
-		ts := r.readyMem[memIdx]
-		r.readyMem = append(r.readyMem[:memIdx], r.readyMem[memIdx+1:]...)
+		var ts *taskRun
+		r.readyMem, r.memHead, ts = takeAt(r.readyMem, r.memHead, memIdx)
 		r.startMemory(w, ts)
 	case compOK:
 		ts := r.readyCompute[0]
@@ -457,15 +500,17 @@ func (r *runner) dispatch(w *worker) {
 		r.startComputeTask(w, ts)
 	default:
 		w.idle = true
-		return
+		return false
 	}
 	w.idle = false
+	return true
 }
 
-// insertByID inserts ts keeping the queue sorted by task ID.
-func insertByID(q []*taskRun, ts *taskRun) []*taskRun {
+// insertByID inserts ts into the live queue q[head:], keeping it
+// sorted by task ID.
+func insertByID(q []*taskRun, head int, ts *taskRun) []*taskRun {
 	i := len(q)
-	for i > 0 && q[i-1].task.ID > ts.task.ID {
+	for i > head && q[i-1].task.ID > ts.task.ID {
 		i--
 	}
 	q = append(q, nil)
@@ -501,7 +546,7 @@ func (r *runner) finishMemory(w *worker, ts *taskRun, bytes float64) {
 		// task has consumed it; record Tm for the pair.
 		ts.pair.gatherDur = dur
 		r.welfordTm(ts.mtlAt).Add(float64(dur))
-		r.readyCompute = insertByID(r.readyCompute, &taskRun{
+		r.readyCompute = insertByID(r.readyCompute, 0, &taskRun{
 			task: computeOf(r.prog, ts.task), pair: ts.pair, dom: ts.dom,
 		})
 	case stream.Scatter:
@@ -540,7 +585,7 @@ func (r *runner) finishCompute(w *worker, ts *taskRun) {
 	r.res.PairsCompleted++
 
 	if sc := scatterOf(r.prog, ts.task); sc != nil {
-		r.readyMem = insertByID(r.readyMem, &taskRun{task: sc, pair: ts.pair, dom: ts.dom})
+		r.readyMem = insertByID(r.readyMem, r.memHead, &taskRun{task: sc, pair: ts.pair, dom: ts.dom})
 	}
 
 	monitored := r.th.Monitoring()
@@ -583,7 +628,7 @@ func (r *runner) account(w *worker, ts *taskRun, dur sim.Time) {
 func (r *runner) taskDone(w *worker) {
 	r.phaseRemaining--
 	w.idle = true
-	if r.phaseRemaining == 0 && len(r.readyMem) == 0 && len(r.readyCompute) == 0 {
+	if r.phaseRemaining == 0 && len(r.readyMem) == r.memHead && len(r.readyCompute) == 0 {
 		r.res.PhaseTimes = append(r.res.PhaseTimes, r.eng.Now()-r.phaseStart)
 		r.res.PhaseMTL = append(r.res.PhaseMTL, r.th.MTL())
 		r.enterPhase(r.phase + 1)
